@@ -5,7 +5,7 @@ the predicted line sigma = q_M k and the predicted ordinates."""
 import argparse
 import math
 
-from zetaderiv.geometry import q_value, strip
+from zetaderiv.geometry import layout, q_value
 from zetaderiv.zeros import enumerate_zeros
 
 
@@ -17,14 +17,8 @@ def main() -> None:
     args = ap.parse_args()
 
     k = args.k
-    M = 2
-    while True:
-        sp = strip(M, k)
-        if not sp.exists:
-            if M > 2:
-                break
-            M += 1
-            continue
+    for sp in layout(k)[1]:
+        M = sp.M
         records, n = enumerate_zeros(M, k, args.periods * sp.period)
         devs = [abs(r.location.sigma - q_value(M) * k) for r in records]
         dts = [abs(r.location.t - (2 * r.j + 1) * math.pi / sp.delta)
@@ -32,7 +26,6 @@ def main() -> None:
         print(f"S_{M} (center {sp.center_sigma:.3f}): {n} zeros, "
               f"max |sigma - q_M k| = {max(devs):.2e}, "
               f"max ordinate deviation = {max(dts):.2e}")
-        M += 1
 
 
 if __name__ == "__main__":

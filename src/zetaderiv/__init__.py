@@ -1,7 +1,7 @@
 """Numerics for zero-free regions and critical strips of zeta derivatives."""
 
 from .geometry import (CellRect, ComplexPoint, QConstant, StripSpec,
-                       WedgeSpec, cell, count_strips, dominant_index,
+                       WedgeSpec, cell, count_strips, dominant_index, layout,
                        q_bracket, q_const, q_value, strip, wedge)
 from .scaled import ScaledComplex
 from .series import (EvalResult, TailBound, eval_deriv, head, tail_bound,
@@ -14,8 +14,9 @@ __all__ = [
     "CellRect", "ComplexPoint", "QConstant", "StripSpec", "WedgeSpec",
     "ScaledComplex", "EvalResult", "TailBound", "Rect", "RoucheCertificate",
     "WindingResult", "ZeroRecord", "ZeroOnContourError",
-    "cell", "count_strips", "dominant_index", "q_bracket", "q_const",
-    "q_value", "strip", "wedge", "eval_deriv", "head", "tail_bound", "term",
+    "cell", "count_strips", "layout", "dominant_index", "q_bracket",
+    "q_const", "q_value", "strip", "wedge", "eval_deriv", "head",
+    "tail_bound", "term",
     "enumerate_zeros", "hline_margin", "locate_zero", "rouche_certificate",
     "winding_number",
 ]

@@ -8,15 +8,14 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import continuation, plots, verify
-from .geometry import ComplexPoint, TWO_PI, count_strips, strip, wedge
+from . import __version__, continuation, plots, verify
+from .geometry import ComplexPoint, TWO_PI, count_strips, layout, strip
 from .scaled import ScaledComplex
 from .series import DELTA_MIN, eval_deriv, series_is_practical
-from .zeros import ZeroRecord, locate_zero
+from .zeros import ZeroRecord, enumerate_zeros
 
 _LN10 = math.log(10.0)
 DEFAULT_CACHE = "zeta-cache.jsonl"
@@ -56,20 +55,18 @@ def _fmt_scaled(v: ScaledComplex, digits: int = 15) -> str:
 
 def cmd_eval(args) -> tuple[dict, list[str]]:
     s = ComplexPoint(args.sigma, args.t)
-    eps = args.eps if args.eps is not None else 10.0 ** -args.precision_digits
-    if args.sigma > 1.0 + DELTA_MIN and series_is_practical(
-            args.k, args.sigma, eps):
-        res = eval_deriv(s, args.k, eps)
+    if series_is_practical(args.k, args.sigma, args.eps):
+        res = eval_deriv(s, args.k, args.eps)
         route = "series"
     elif args.sigma <= 0.0:
         raise SystemExit("sigma must be positive; the implemented "
                          "continuation covers 0 < sigma <= "
                          f"{1.0 + DELTA_MIN} and the series the rest")
     elif args.k == 0:
-        res = continuation.eval_zeta_em(s, eps)
+        res = continuation.eval_zeta_em(s, args.eps)
         route = "euler-maclaurin"
     else:
-        res = continuation.eval_deriv_cauchy(s, args.k, eps)
+        res = continuation.eval_deriv_cauchy(s, args.k, args.eps)
         route = "cauchy-circle"
     m, e = _decimal_parts(res.value)
     results = {
@@ -96,30 +93,20 @@ def cmd_regions(args) -> tuple[dict, list[str]]:
     lines = [f"order k = {k}"]
     wedges = []
     strips = []
-    M = 2
-    while True:
-        w = wedge(M)
-        if k < w.tip_k:
-            if M > 2:
-                break
-            M += 1
-            continue
+    wedge_specs, strip_specs = layout(k)
+    for w in wedge_specs:
         right = w.sigma_right(k)
-        wedges.append({"M": M, "sigma_left": w.sigma_left(k),
+        wedges.append({"M": w.M, "sigma_left": w.sigma_left(k),
                        "sigma_right": right, "tip_k": w.tip_k})
         r = "inf" if right is None else f"{right:.4f}"
-        lines.append(f"wedge  M={M:>2}: {w.sigma_left(k):.4f} <= sigma"
+        lines.append(f"wedge  M={w.M:>2}: {w.sigma_left(k):.4f} <= sigma"
                      f" <= {r}  (tip k = {w.tip_k:.2f})")
-        M += 1
-    for M2 in range(2, M + 2):
-        sp = strip(M2, k)
-        if sp.exists:
-            strips.append({"M": M2, "center": sp.center_sigma,
-                           "half_width": sp.half_width,
-                           "period": sp.period})
-            lines.append(
-                f"strip  S_{M2}: center {sp.center_sigma:.4f}, half-width "
-                f"{sp.half_width:.4f}, period {sp.period:.4f}")
+    for sp in strip_specs:
+        strips.append({"M": sp.M, "center": sp.center_sigma,
+                       "half_width": sp.half_width, "period": sp.period})
+        lines.append(
+            f"strip  S_{sp.M}: center {sp.center_sigma:.4f}, half-width "
+            f"{sp.half_width:.4f}, period {sp.period:.4f}")
     count, lo, hi = count_strips(k)
     lines.append(f"strip count c({k}) = {count}, bounds ({lo:.3f}, {hi:.3f})")
     return ({"wedges": wedges, "strips": strips, "count": count,
@@ -133,22 +120,6 @@ def _record_json(r: ZeroRecord) -> dict:
     return d
 
 
-def _locate_cell(job: tuple[int, int, int]) -> ZeroRecord:
-    return locate_zero(*job)
-
-
-def _enumerate(M: int, k: int, T: float, workers: int) -> list[ZeroRecord]:
-    delta = strip(M, k).delta
-    j_max = math.ceil(T * delta / TWO_PI)
-    jobs = [(M, k, j) for j in range(j_max)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_locate_cell, jobs))
-    else:
-        records = [_locate_cell(job) for job in jobs]
-    return [r for r in records if r.location.t <= T]
-
-
 def cmd_zeros(args) -> tuple[dict, list[str]]:
     sp = strip(args.M, args.k)
     if not sp.exists:
@@ -159,16 +130,17 @@ def cmd_zeros(args) -> tuple[dict, list[str]]:
         T = args.T
     else:
         raise SystemExit("pass either --T or --count-at")
-    records = _enumerate(args.M, args.k, T, args.parallel)
-    lines = [json.dumps(_record_json(r), sort_keys=True) for r in records]
-    lines.append(f"N = {len(records)} zeros up to T = {T:.6f}")
-    results = {"records": [_record_json(r) for r in records],
-               "N": len(records), "T": T}
-    if args.count_at is not None and len(records) != args.count_at:
+    if T <= 0.0:
+        raise SystemExit(f"zeros needs a positive height, got T = {T}")
+    records, n = enumerate_zeros(args.M, args.k, T, workers=args.parallel)
+    record_dicts = [_record_json(r) for r in records]
+    lines = [json.dumps(d, sort_keys=True) for d in record_dicts]
+    lines.append(f"N = {n} zeros up to T = {T:.6f}")
+    results = {"records": record_dicts, "N": n, "T": T}
+    if args.count_at is not None and n != args.count_at:
         lines.append(f"FAIL: expected exactly {args.count_at} zeros at the "
-                     f"sanctioned height, found {len(records)}")
+                     f"sanctioned height, found {n}")
         results["expected"] = args.count_at
-        return results, lines
     return results, lines
 
 
@@ -234,8 +206,11 @@ def _cache_lookup(path: Path, key: str) -> dict | None:
             raw = raw.strip()
             if not raw:
                 continue
-            rec = json.loads(raw)
-            if rec.get("key") == key:
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError:  # a truncated or corrupt entry
+                continue
+            if isinstance(rec, dict) and rec.get("key") == key:
                 return rec
     return None
 
@@ -247,12 +222,6 @@ def _cache_append(path: Path, entry: dict) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=None,
-                        help="target relative accuracy (overrides "
-                             "--precision-digits)")
-    common.add_argument("--precision-digits", type=int, default=12)
-    common.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker processes for zero enumeration")
     common.add_argument("--cache", default=None, metavar="PATH",
                         help=f"append-only results cache (default "
                              f"{DEFAULT_CACHE} when --use-cache is set)")
@@ -273,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--eps", type=float, default=1e-12,
+                    help="target relative accuracy")
     sp.set_defaults(func=cmd_eval)
 
     sp = add("regions", help="wedges and strips at order k")
@@ -286,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count-at", type=int, default=None, metavar="J",
                     help="evaluate at the sanctioned height T_J and check "
                          "the count equals J")
+    sp.add_argument("--parallel", type=int, default=1, metavar="N",
+                    help="worker processes for zero enumeration")
     sp.set_defaults(func=cmd_zeros)
 
     sp = add("verify", help="run constant-verification suites")
@@ -312,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "cache", "use_cache") and v is not None}
-    key = _digest({"command": args.command, "parameters": params})
+    key = _digest({"command": args.command, "parameters": params,
+                   "version": __version__})
 
     cache_path = None
     if args.use_cache or args.cache is not None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ComplexPoint
@@ -36,28 +35,9 @@ def _bernoulli_table(count: int) -> list[float]:
 _B = _bernoulli_table(2 * MAX_BERNOULLI_TERMS + 2)
 
 
-@dataclass(frozen=True)
-class EMConfig:
-    cutoff: int
-    bernoulli_terms: int
-    target_eps: float
-
-
-@dataclass(frozen=True)
-class CauchyConfig:
-    radius: float
-    nodes: int
-
-
-def default_em_config(t: float, eps: float) -> EMConfig:
-    cutoff = max(10, math.ceil(1.3 * abs(t) / (2.0 * math.pi)) + 10)
-    return EMConfig(cutoff=cutoff, bernoulli_terms=MAX_BERNOULLI_TERMS,
-                    target_eps=eps)
-
-
-def _zeta_em_raw(s: complex, cfg: EMConfig) -> tuple[complex, float]:
-    """Euler-Maclaurin zeta value and the magnitude of the last correction."""
-    N = cfg.cutoff
+def _zeta_em_raw(s: complex, N: int, eps: float) -> tuple[complex, float]:
+    """Euler-Maclaurin zeta value with cutoff N, and the magnitude of the
+    last correction term used."""
     acc = 0j
     for n in range(1, N):
         acc += cmath.exp(-s * math.log(n))
@@ -68,12 +48,12 @@ def _zeta_em_raw(s: complex, cfg: EMConfig) -> tuple[complex, float]:
     poly = s  # running product s(s+1)...(s+2r-2)
     npow = ninv / N
     last = math.inf
-    for r in range(1, cfg.bernoulli_terms + 1):
+    for r in range(1, MAX_BERNOULLI_TERMS + 1):
         coef = _B[2 * r] / math.factorial(2 * r)
         term_v = coef * poly * npow
         acc += term_v
         last = abs(term_v)
-        if last <= cfg.target_eps * 0.01:
+        if last <= eps * 0.01:
             break
         poly *= (s + (2 * r - 1)) * (s + 2 * r)
         npow /= N * N
@@ -88,18 +68,16 @@ def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
     z = s.to_complex()
     if z == 1:
         raise ValueError("zeta has its pole at s = 1")
-    cfg = default_em_config(s.t, eps)
-    value, est = _zeta_em_raw(z, cfg)
+    N = max(10, math.ceil(1.3 * abs(s.t) / (2.0 * math.pi)) + 10)
+    value, est = _zeta_em_raw(z, N, eps)
     for _ in range(4):
         if est <= eps:
             break
-        cfg = EMConfig(cutoff=2 * cfg.cutoff,
-                       bernoulli_terms=cfg.bernoulli_terms,
-                       target_eps=cfg.target_eps)
-        value, est = _zeta_em_raw(z, cfg)
+        N *= 2
+        value, est = _zeta_em_raw(z, N, eps)
     return EvalResult(value=ScaledComplex.from_complex(value),
                       abs_error_bound=ScaledComplex.from_parts(est, 0.0),
-                      terms_used=cfg.cutoff)
+                      terms_used=N)
 
 
 def pick_radius(s: ComplexPoint, radius: float = 0.25) -> float:

@@ -151,16 +151,32 @@ def strip(M: int, k: int) -> StripSpec:
     return StripSpec(M, k, qm * k, half_width, TWO_PI / delta, exists)
 
 
-def count_strips(k: int) -> tuple[int, float, float]:
-    """Number of existing strips at k, plus the sqrt(k)/log(k) bounds."""
+def layout(k: int) -> tuple[list[WedgeSpec], list[StripSpec]]:
+    """Zero-free wedges and existing critical strips at order k, by M.
+
+    Wedge M is present once k >= its tip, and strip S_M once its separation
+    condition holds.  Both tests fail for every M beyond the first that
+    fails (the tips grow and the gaps q_M - q_{M+1} shrink with M), so each
+    walk stops at the first missing M.
+    """
     if k < 3:
-        raise ValueError(f"count_strips needs k >= 3, got {k}")
-    count = 0
-    # existence thresholds grow like M^2 (log M)^2, so this cap is generous
-    m_cap = int(3 * math.sqrt(k)) + 10
-    for M in range(2, m_cap):
-        if strip(M, k).exists:
-            count += 1
+        raise ValueError(f"layout needs k >= 3, got {k}")
+    wedges = []
+    w = wedge(2)
+    while k >= w.tip_k:
+        wedges.append(w)
+        w = wedge(w.M + 1)
+    strips = []
+    sp = strip(2, k)
+    while sp.exists:
+        strips.append(sp)
+        sp = strip(sp.M + 1, k)
+    return wedges, strips
+
+
+def count_strips(k: int) -> tuple[int, float, float]:
+    """Number of strips in layout(k), plus the sqrt(k)/log(k) bounds."""
+    count = len(layout(k)[1])
     lower = math.sqrt(k) / (3.0 * math.log(k))
     upper = 2.0 * math.sqrt(k) / math.log(k)
     return count, lower, upper

@@ -10,7 +10,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .geometry import TWO_PI, strip, wedge
+from .geometry import TWO_PI, layout, strip
 from .zeros import ZeroRecord, enumerate_zeros
 
 _FMT = "%.16e"
@@ -87,28 +87,16 @@ class SvgCanvas:
             f'height="{h:.4f}">\n{body}\n</svg>\n')
 
 
-def _existing_strips(k: int, m_cap: int = 40):
-    out = []
-    for M in range(2, m_cap):
-        sp = strip(M, k)
-        if sp.exists:
-            out.append(sp)
-    return out
-
-
 def plot_regions(k: int, out_prefix: str | Path) -> list[Path]:
     """Wedge boundaries and existing strips at order k: CSV plus an SVG
     cross-section with t up to three periods of the outermost strip."""
-    strips = _existing_strips(k)
+    wedges, strips = layout(k)
     rows = []
-    m_hi = max((sp.M for sp in strips), default=2) + 1
-    for M in range(2, m_hi + 1):
-        w = wedge(M)
-        if k >= w.tip_k:
-            right = w.sigma_right(k)
-            rows.append(("wedge", M, w.sigma_left(k),
-                         right if right is not None else math.inf,
-                         float(w.tip_k)))
+    for w in wedges:
+        right = w.sigma_right(k)
+        rows.append(("wedge", w.M, w.sigma_left(k),
+                     right if right is not None else math.inf,
+                     float(w.tip_k)))
     for sp in strips:
         rows.append(("strip", sp.M, sp.center_sigma - sp.half_width,
                      sp.center_sigma + sp.half_width, sp.period))

@@ -188,15 +188,6 @@ def eval_deriv(s: ComplexPoint, k: int, eps_rel: float = DEFAULT_EPS_REL,
     return EvalResult(value=value, abs_error_bound=bound, terms_used=N - 1)
 
 
-def normalized_eval(s: ComplexPoint, k: int, M_ref: int,
-                    eps_rel: float = DEFAULT_EPS_REL) -> ScaledComplex:
-    """eval_deriv divided by the positive real Q_{M_ref}(sigma); same zeros
-    and same argument, but with exponent near 0 around strip S_{M_ref}."""
-    res = eval_deriv(s, k, eps_rel)
-    scale = ScaledComplex.from_polar(log_term_mag(M_ref, k, s.sigma), 0.0)
-    return res.value / scale
-
-
 def tail_ratio_upper(m_start: int, k: int, sigma: float, log_ref: float,
                      rel_cut: float = 1e-9,
                      max_exact: int = 100000) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import LOG3, TWO_PI, q_value, wedge
-from .series import log_term_mag, tail_ratio_upper
+from .series import log_term_mag, tail_bound, tail_ratio_upper
 from .zeros import Rect, series_evaluator, winding_number
 
 EQ_TOL = 1e-12
@@ -55,14 +55,6 @@ def _check(name: str, claimed: float, computed: float, relation: str,
     return ConstantCheck(name, claimed, computed, relation, tolerance, ok)
 
 
-def _tail_r(M: int, k: float, sigma: float) -> float:
-    """Integral tail factor R_M^k(sigma); inf when outside its validity."""
-    if k - 1.0 >= (sigma - 1.0) * math.log(M):
-        return math.inf
-    return M / (sigma - 1.0) * (1.0 + k / ((sigma - 1.0) * math.log(M)
-                                           - k + 1.0))
-
-
 def _term_ratio(num: int, den: int, k: float, sigma: float) -> float:
     return math.exp(log_term_mag(num, k, sigma) - log_term_mag(den, k, sigma))
 
@@ -85,7 +77,7 @@ def verify_vk_constants() -> list[ConstantCheck]:
     for k in range(3, 201):
         sigma = q2 * k + 2.0
         checks.append(_check(f"vk.r4_bound_k{k}", 0.68,
-                             _tail_r(4, k, sigma), '<'))
+                             tail_bound(4, k, sigma).R, '<'))
     slack = 1.0 - 4.0 / 9.0 - 0.19 * (1.0 + 0.68)
     checks.append(_check("vk.final_slack_positive", slack, 0.0, '<'))
     return checks
@@ -113,7 +105,7 @@ def verify_thm1a_constants() -> list[ConstantCheck]:
     for k in range(k_tip, 201):
         sigma = q3 * k + 4.0 * LOG3
         checks.append(_check(f"thm1a.r4_bound_k{k}", 0.72,
-                             _tail_r(4, k, sigma), '<'))
+                             tail_bound(4, k, sigma).R, '<'))
     slack = 1.0 - 0.45 - 0.29 * (1.0 + 0.72)
     checks.append(_check("thm1a.final_slack_positive", slack, 0.0, '<'))
     return checks
@@ -127,7 +119,7 @@ def verify_m4_10_table() -> list[ConstantCheck]:
         k_m = wedge(M).tip_k
         sigma_m = q_value(M) * k_m + (M + 1) * LOG3
         checks.append(_check(f"m4_10.r{M + 1}_at_sigma{M}", r_bound,
-                             _tail_r(M + 1, k_m, sigma_m), '<'))
+                             tail_bound(M + 1, k_m, sigma_m).R, '<'))
         checks.append(_check(f"m4_10.q{M + 1}_over_q{M}", q_bound,
                              _term_ratio(M + 1, M, k_m, sigma_m), '<'))
         t_ratio = tail_ratio_upper(M + 1, k_m, sigma_m,

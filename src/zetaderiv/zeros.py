@@ -9,7 +9,9 @@ sign decisions untouched.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
@@ -421,18 +423,21 @@ def locate_zero(M: int, k: int, j: int, tol: float = 1e-12) -> ZeroRecord:
     )
 
 
-def enumerate_zeros(M: int, k: int, T: float,
-                    tol: float = 1e-12) -> tuple[list[ZeroRecord], int]:
+def enumerate_zeros(M: int, k: int, T: float, tol: float = 1e-12,
+                    workers: int = 1) -> tuple[list[ZeroRecord], int]:
     """All strip-S_M zeros of the k-th derivative with 0 < t <= T, plus the
-    count N at height T."""
+    count N at height T.  With workers > 1 the cells are located in a
+    process pool, which only pays off for long enumerations."""
     if T <= 0.0:
         raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
     c0 = cell(M, k, 0)
     delta = c0.strip.delta
     j_max = math.ceil(T * delta / TWO_PI)
-    records = []
-    for j in range(j_max):
-        rec = locate_zero(M, k, j, tol)
-        if rec.location.t <= T:
-            records.append(rec)
+    if workers > 1 and j_max > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            located = list(pool.map(locate_zero, repeat(M), repeat(k),
+                                    range(j_max), repeat(tol)))
+    else:
+        located = [locate_zero(M, k, j, tol) for j in range(j_max)]
+    records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

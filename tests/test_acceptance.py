@@ -13,8 +13,8 @@ import random
 import pytest
 
 from zetaderiv.continuation import count_zeros_halfplane, eval_deriv_cauchy
-from zetaderiv.geometry import (ComplexPoint, count_strips, q_value, strip,
-                                wedge)
+from zetaderiv.geometry import (ComplexPoint, count_strips, layout, q_value,
+                                strip, wedge)
 from zetaderiv.series import eval_deriv, log_term_mag, tail_bound
 from zetaderiv.verify import (verify_head_bound, verify_m4_10_table,
                               verify_remark_tables, verify_thm1a_constants,
@@ -201,18 +201,12 @@ def test_criterion_06_constant_suites():
 def _wedge_spans(k):
     """Usable (M, sigma_lo, sigma_hi) spans strictly inside the wedges."""
     spans = []
-    M = 2
-    while True:
-        w = wedge(M)
-        if M > 2 and k < w.tip_k:
-            break
-        if k >= w.tip_k:
-            lo = w.sigma_left(k) + 0.4
-            hi = w.sigma_right(k)
-            hi = lo + 8.0 if hi is None else hi - 0.4
-            if hi > lo + 0.5:
-                spans.append((M, lo, hi))
-        M += 1
+    for w in layout(k)[0]:
+        lo = w.sigma_left(k) + 0.4
+        hi = w.sigma_right(k)
+        hi = lo + 8.0 if hi is None else hi - 0.4
+        if hi > lo + 0.5:
+            spans.append((w.M, lo, hi))
     return spans
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from zetaderiv import cli
+from zetaderiv import cli, plots
 
 
 def run(capsys, *argv):
@@ -85,6 +85,15 @@ def test_plot_regions(tmp_path, capsys):
     assert "strip" in text and "wedge" in text
 
 
+def test_plot_regions_lists_every_strip_and_wedge(tmp_path):
+    # strips S_M with M >= 40 exist from k = 51,541 on
+    csv_path, _ = plots.plot_regions(10 ** 5, tmp_path / "regions")
+    kinds = [row.split(",")[0]
+             for row in csv_path.read_text().splitlines()[1:]]
+    assert kinds.count("strip") == 51
+    assert kinds.count("wedge") == 52
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = ["regions", "--k", "38", "--cache", str(cache)]
@@ -106,6 +115,29 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert len(entries) == 2
     assert (entries[0]["record"]["results_digest"]
             == entries[1]["record"]["results_digest"])
+
+
+def test_cache_key_includes_version(tmp_path, capsys, monkeypatch):
+    args = ["regions", "--k", "38", "--cache", str(tmp_path / "c.jsonl")]
+    run(capsys, *args)
+    code, out = run(capsys, *args, "--use-cache")
+    assert "(cached:" in out
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    code, out = run(capsys, *args, "--use-cache")
+    assert code == 0
+    assert "(cached:" not in out
+
+
+def test_cache_skips_corrupt_lines(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"key": "x"\n[1, 2]\n')
+    args = ["regions", "--k", "38", "--cache", str(cache), "--use-cache"]
+    code, out1 = run(capsys, *args)
+    assert code == 0
+    assert "(cached:" not in out1
+    code, out2 = run(capsys, *args)
+    assert "(cached:" in out2
+    assert out1.strip() in out2
 
 
 def test_parallel_enumeration_matches_serial(capsys):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetaderiv.geometry import (LOG3, cell, count_strips, dominant_index,
-                                q_bracket, q_const, q_value, strip, wedge)
+                                layout, q_bracket, q_const, q_value, strip,
+                                wedge)
 
 # independently recomputed at 50-digit precision, frozen here
 Q_REFERENCE = {
@@ -102,6 +103,19 @@ def test_count_strips_reference_values():
     assert count_strips(100)[0] == 2
     assert count_strips(800)[0] == 6
     assert count_strips(10 ** 4)[0] == 19
+
+
+def test_layout_matches_brute_force_scan():
+    # the scan tests every M below 3 sqrt(k) + 10, far past the last wedge
+    # and strip, so it does not rely on the walk stopping at the first gap
+    wedges = [wedge(M) for M in range(2, int(3 * math.sqrt(10 ** 6)) + 10)]
+    for k in list(range(3, 3001)) + [51_540, 51_541, 10 ** 5, 10 ** 6]:
+        m_cap = int(3 * math.sqrt(k)) + 10
+        want_wedges = [w for w in wedges[:m_cap - 2] if k >= w.tip_k]
+        want_strips = [sp for sp in (strip(M, k) for M in range(2, m_cap))
+                       if sp.exists]
+        assert layout(k) == (want_wedges, want_strips), k
+        assert count_strips(k)[0] == len(want_strips)
 
 
 def test_count_strips_monotone_in_k():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from zetaderiv.geometry import ComplexPoint, q_value
 from zetaderiv.series import (DELTA_MIN, choose_truncation, eval_deriv, head,
-                              log_term_mag, normalized_eval,
-                              series_is_practical, tail_bound,
+                              log_term_mag, series_is_practical, tail_bound,
                               tail_monotonicity_conditions, tail_ratio_upper,
                               term)
+from zetaderiv.zeros import series_evaluator
 
 mp.mp.dps = 30
 
@@ -90,9 +90,9 @@ def test_eval_deriv_domain_guard():
         eval_deriv(ComplexPoint(1.0 + DELTA_MIN, 0.0), 3)
 
 
-def test_normalized_eval_near_unity_scale():
+def test_series_evaluator_near_unity_scale():
     sigma = q_value(2) * 800
-    v = normalized_eval(ComplexPoint(sigma, 1.0), 800, 2)
+    v = series_evaluator(800, M_ref=2)(complex(sigma, 1.0))
     assert -5.0 < v.log_abs() < 5.0
 
 

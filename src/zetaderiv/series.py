@@ -83,6 +83,12 @@ def head(M: int, k: int, s: ComplexPoint) -> ScaledComplex:
     return _partial_sum(k, s.sigma, s.t, 2, M - 1)
 
 
+def head_ratio(M: int, k: float, sigma: float) -> float:
+    """H_M(sigma) / Q_M(sigma), an exact positive sum; zero for M = 2."""
+    h = head(M, k, ComplexPoint(sigma, 0.0))
+    return math.exp(h.log_abs() - log_term_mag(M, k, sigma))
+
+
 def _partial_sum(k: int, sigma: float, t: float, n_lo: int,
                  n_hi: int) -> ScaledComplex:
     """sum_{n=n_lo}^{n_hi} Q_n^k(sigma + it), scaled; pairwise summation."""

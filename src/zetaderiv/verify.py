@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import LOG3, TWO_PI, q_value, wedge
-from .series import log_term_mag, tail_bound, tail_ratio_upper
+from .series import head_ratio, log_term_mag, tail_bound, tail_ratio_upper
 from .zeros import Rect, series_evaluator, winding_number
 
 EQ_TOL = 1e-12
@@ -128,12 +128,6 @@ def verify_m4_10_table() -> list[ConstantCheck]:
     return checks
 
 
-def _head_ratio(M: int, k: float, sigma: float) -> float:
-    log_ref = log_term_mag(M, k, sigma)
-    return sum(math.exp(log_term_mag(n, k, sigma) - log_ref)
-               for n in range(2, M))
-
-
 def verify_head_bound(M_range: Iterable[int] = range(2, 101),
                       k_samples: Sequence[float] = ()) -> list[ConstantCheck]:
     """The geometric head estimate: (M/(M+1))^((M+1) log 3) increases to its
@@ -154,14 +148,14 @@ def verify_head_bound(M_range: Iterable[int] = range(2, 101),
     checks.append(_check("head.asymptote_at_1e4", 1.0 / 3.0,
                          f(10 ** 4), '=within', 1e-4))
     checks.append(_check("head.h2_over_q2_empty", 0.0,
-                         _head_ratio(2, 38, q_value(2) * 38 + 3 * LOG3),
+                         head_ratio(2, 38, q_value(2) * 38 + 3 * LOG3),
                          '=within', 0.0))
     pairs = [(M, math.ceil(wedge(M).tip_k)) for M in (4, 7, 11, 15)]
     pairs += [(M, k) for M, k in k_samples]
     for M, k in pairs:
         sigma = q_value(M) * k + (M + 1) * LOG3
         checks.append(_check(f"head.h{M}_over_q{M}_k{k}", 0.5,
-                             _head_ratio(M, k, sigma), '<='))
+                             head_ratio(M, k, sigma), '<='))
     return checks
 
 

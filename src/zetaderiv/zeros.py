@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
 from .scaled import ScaledComplex
-from .series import (eval_deriv, head, log_term_mag, tail_ratio_upper)
+from .series import (eval_deriv, head_ratio, log_term_mag,
+                     tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
@@ -25,6 +26,9 @@ TWO_PI = 2.0 * math.pi
 REL_ZERO_FLOOR = math.log(1e-8)
 MAX_SUBDIV_DEPTH = 48
 INIT_SAMPLES_PER_EDGE = 64
+# certificate sweeps: sigma intervals per cell, and bisection depth of each
+SWEEP_INTERVALS = 256
+MAX_BISECT_DEPTH = 12
 
 Evaluator = Callable[[complex], ScaledComplex]
 
@@ -210,130 +214,87 @@ def cell_winding(M: int, k: int, j: int) -> WindingResult:
 # boundary certificates
 
 
-def _ratio_log(M: int, k: int, sigma: float) -> float:
-    """log of Q_{M+1}(sigma) / Q_M(sigma)."""
-    return log_term_mag(M + 1, k, sigma) - log_term_mag(M, k, sigma)
+def _terms(M: int, k: int, sigma: float) -> tuple[float, float, float]:
+    """Q_{M+1}/Q_M, H_M/Q_M and a certified bound on T_{M+1}/Q_M (the tail
+    from M+2 on), all at sigma."""
+    log_q = log_term_mag(M, k, sigma)
+    return (math.exp(log_term_mag(M + 1, k, sigma) - log_q),
+            head_ratio(M, k, sigma),
+            tail_ratio_upper(M + 2, k, sigma, log_q))
 
 
-def _head_norm(M: int, k: int, sigma: float) -> float:
-    """H_M(sigma) / Q_M(sigma), an exact positive sum."""
-    if M == 2:
-        return 0.0
-    h = head(M, k, ComplexPoint(sigma, 0.0))
-    return math.exp(h.log_abs() - log_term_mag(M, k, sigma))
+def _sweep(M: int, k: int, c: CellRect, coef: float
+           ) -> tuple[float, Optional[float], list]:
+    """Certified lower bound of coef*(1 + r) - H - tail over the cell's
+    sigma-range, with r = Q_{M+1}/Q_M and everything normalized by Q_M.
 
-
-def _tail_norm(M: int, k: int, sigma: float) -> float:
-    """Certified bound on T_{M+1}(sigma) / Q_M(sigma), tail from M+2 on."""
-    return tail_ratio_upper(M + 2, k, sigma, log_term_mag(M, k, sigma))
-
-
-def _gap_at(M: int, k: int, sigma: float, t_delta: float) -> float:
-    """Pointwise |Q_M+Q_{M+1}| - H - tail, normalized, at phase t*delta."""
-    r = math.exp(_ratio_log(M, k, sigma))
-    comparator = math.sqrt(1.0 + r * r + 2.0 * r * math.cos(t_delta))
-    return comparator - _head_norm(M, k, sigma) - _tail_norm(M, k, sigma)
-
-
-def _interval_lb(M: int, k: int, a: float, b: float) -> float:
-    """Certified lower bound of the horizontal-edge gap on sigma in [a, b].
-
-    In sigma, r and the tail bound decrease while the head increases, so
-    (1 + r(b)) - head(b) - tail(a) bounds the gap from below on the whole
-    subinterval -- no Lipschitz constant needed.
+    In sigma, r and the tail decrease while the head increases, so with the
+    tail bound taken at a, coef*(1 + r(b)) - H(b) - tail(a) bounds the
+    function from below on [a, b] -- no Lipschitz constant needed.  The
+    range is cut into SWEEP_INTERVALS intervals, and only those whose bound
+    is not positive are bisected, to depth MAX_BISECT_DEPTH.
+    Returns the bound, the sigma where bisection gave up (None if it never
+    did) and the (sigma, terms) nodes of the grid.
     """
-    r = math.exp(_ratio_log(M, k, b))
-    return 1.0 + r - _head_norm(M, k, b) - _tail_norm(M, k, a)
+    s_lo, s_hi = c.sigma_range
+    xs = [s_lo + (s_hi - s_lo) * i / SWEEP_INTERVALS
+          for i in range(SWEEP_INTERVALS)] + [s_hi]
+    nodes = [(x, _terms(M, k, x)) for x in xs]
+
+    def piece(a, b, depth):
+        return a, b, depth, coef * (1.0 + b[1][0]) - b[1][1] - a[1][2]
+
+    stack = [piece(a, b, 0) for a, b in zip(nodes, nodes[1:])]
+    best = math.inf
+    while stack:
+        a, b, depth, lb = stack.pop()
+        if lb > 0.0:
+            best = min(best, lb)
+        elif depth >= MAX_BISECT_DEPTH:
+            best = min([best, lb] + [p[3] for p in stack])
+            return best, 0.5 * (a[0] + b[0]), nodes
+        else:
+            sigma = 0.5 * (a[0] + b[0])
+            m = (sigma, _terms(M, k, sigma))
+            stack += [piece(a, m, depth + 1), piece(m, b, depth + 1)]
+    return best, None, nodes
 
 
-def rouche_certificate(M: int, k: int, j: int,
-                       samples_per_edge: int = 256) -> RoucheCertificate:
+def rouche_certificate(M: int, k: int, j: int) -> RoucheCertificate:
     """Certify |zeta^(k) - (Q_M + Q_{M+1})| < |Q_M + Q_{M+1}| on the cell
     boundary, which pins the interior zero count to that of Q_M + Q_{M+1}.
 
     Vertical edges minimize the comparator in closed form (|1 - r| over a
-    full period of the phase); horizontal edges are covered by monotone
-    interval bounds with bisection refinement.
+    full period of the phase).  On both horizontal edges cos(t*delta) = 1,
+    so they are one sweep of the sigma-range.  min_gap is a certified lower
+    bound over the whole boundary and is the same for every cell j.
     """
     c = cell(M, k, j)
-    s_lo, s_hi = c.sigma_range
     t_lo, t_hi = c.t_range
-    delta = c.strip.delta
-    min_gap = math.inf
+    min_gap, line_failure, nodes = _sweep(M, k, c, 1.0)
     failure: Optional[ComplexPoint] = None
-
-    # vertical edges: sigma fixed, phase sweeps a full period
-    for sigma in (s_lo, s_hi):
-        r = math.exp(_ratio_log(M, k, sigma))
-        gap = (abs(1.0 - r) - _head_norm(M, k, sigma)
-               - _tail_norm(M, k, sigma))
+    for sigma, (r, h, tail) in (nodes[0], nodes[-1]):
+        gap = abs(1.0 - r) - h - tail
         min_gap = min(min_gap, gap)
         if gap <= 0.0 and failure is None:
             failure = ComplexPoint(sigma, 0.5 * (t_lo + t_hi))
-
-    # horizontal edges: cos(t*delta) = 1 exactly on both cell lines
-    for t in (t_lo, t_hi):
-        td = t * delta
-        for i in range(samples_per_edge):
-            sigma = s_lo + (s_hi - s_lo) * (i + 0.5) / samples_per_edge
-            gap = _gap_at(M, k, sigma, td)
-            min_gap = min(min_gap, gap)
-            if gap <= 0.0 and failure is None:
-                failure = ComplexPoint(sigma, t)
-        if failure is None:
-            stack = [(s_lo + (s_hi - s_lo) * i / samples_per_edge,
-                      s_lo + (s_hi - s_lo) * (i + 1) / samples_per_edge, 0)
-                     for i in range(samples_per_edge)]
-            while stack:
-                a, b, depth = stack.pop()
-                if _interval_lb(M, k, a, b) > 0.0:
-                    continue
-                if depth >= 12:
-                    failure = ComplexPoint(0.5 * (a + b), t)
-                    break
-                m = 0.5 * (a + b)
-                stack.append((a, m, depth + 1))
-                stack.append((m, b, depth + 1))
-
+    if failure is None and line_failure is not None:
+        failure = ComplexPoint(line_failure, t_lo)
     return RoucheCertificate(cell=c, min_gap=min_gap,
-                             samples_per_edge=samples_per_edge,
+                             samples_per_edge=SWEEP_INTERVALS,
                              holds=failure is None and min_gap > 0.0,
                              failure_point=failure)
 
 
-def hline_margin(M: int, k: int, j: int, samples: int = 512) -> float:
-    """Minimum over the cell line t = 2*pi*j/delta of the certified
-    lower bound (1/sqrt 2)(Q_M + Q_{M+1}) - H_M - tail, normalized by Q_M.
+def hline_margin(M: int, k: int, j: int) -> float:
+    """Certified lower bound over the cell line t = 2*pi*j/delta of
+    (1/sqrt 2)(Q_M + Q_{M+1}) - H_M - tail, normalized by Q_M; the same for
+    every cell j of the strip.
 
     A positive value certifies the k-th derivative has no zero on that
     horizontal segment; a negative one is a finding to report, not an error.
     """
-    c = cell(M, k, max(j, 0))
-    s_lo, s_hi = c.sigma_range
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-
-    def g(sigma: float) -> float:
-        r = math.exp(_ratio_log(M, k, sigma))
-        return (inv_sqrt2 * (1.0 + r) - _head_norm(M, k, sigma)
-                - _tail_norm(M, k, sigma))
-
-    xs = [s_lo + (s_hi - s_lo) * i / (samples - 1) for i in range(samples)]
-    vals = [g(x) for x in xs]
-    i_min = min(range(samples), key=vals.__getitem__)
-    best = vals[i_min]
-    # local ternary refinement around the sampled minimum
-    a = xs[max(i_min - 1, 0)]
-    b = xs[min(i_min + 1, samples - 1)]
-    for _ in range(40):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        v1, v2 = g(m1), g(m2)
-        best = min(best, v1, v2)
-        if v1 < v2:
-            b = m2
-        else:
-            a = m1
-    return best
+    return _sweep(M, k, cell(M, k, j), 1.0 / math.sqrt(2.0))[0]
 
 
 # ---------------------------------------------------------------------------

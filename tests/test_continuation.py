@@ -49,6 +49,15 @@ def test_eval_deriv_cauchy_matches_mpmath(sigma, t, k):
     assert res.value.to_complex() == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+
+def test_eval_deriv_cauchy_unconverged_reports_last_difference():
+    # eps = 1e-30 is below double precision, so the doubling stops at 4096
+    # nodes without agreement; the estimate is then the last doubling
+    # difference, never zero
+    res = eval_deriv_cauchy(ComplexPoint(2.0, 5.0), 3, 1e-30)
+    assert res.terms_used == 4096
+    assert 0.0 < abs(res.abs_error_bound.to_complex()) < 1e-10
+
 def test_pick_radius_shrinks_near_pole_and_axis():
     assert pick_radius(ComplexPoint(1.2, 0.0)) == pytest.approx(0.1)
     assert pick_radius(ComplexPoint(0.1, 20.0)) == pytest.approx(0.08)

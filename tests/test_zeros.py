@@ -5,6 +5,7 @@ import pytest
 
 from zetaderiv.geometry import ComplexPoint, cell, q_value, strip, wedge
 from zetaderiv.scaled import ScaledComplex
+from zetaderiv.series import head_ratio, log_term_mag, tail_ratio_upper
 from zetaderiv.zeros import (Rect, ZeroOnContourError, cell_winding,
                              enumerate_zeros, hline_margin, locate_zero,
                              rouche_certificate, series_evaluator,
@@ -90,6 +91,52 @@ def test_hline_margin_positive():
     assert hline_margin(3, 100, 2) > 0.0
     assert hline_margin(2, 800, 0) > 0.0
 
+
+
+def test_hline_margin_rejects_negative_cell():
+    with pytest.raises(ValueError):
+        hline_margin(2, 38, -1)
+
+
+# criterion 9 cells, strip-cells seed-1 inputs, and j = 3 of the first and
+# last strips at k = 10^4 and 10^5
+SWEEP_CELLS = [(2, 38, 0), (2, 100, 9), (3, 100, 5), (2, 53, 48),
+               (3, 164, 44), (4, 227, 57), (7, 1600, 32), (2, 10 ** 4, 3),
+               (20, 10 ** 4, 3), (2, 10 ** 5, 3), (52, 10 ** 5, 3)]
+
+
+def _dense_terms(M: int, k: int, n: int = 4096):
+    """(Q_{M+1}/Q_M, H_M/Q_M, tail bound / Q_M) on n + 1 sigma points
+    spanning the strip, both ends included exactly."""
+    lo, hi = cell(M, k, 0).sigma_range
+    out = []
+    for sigma in [lo + (hi - lo) * i / n for i in range(n)] + [hi]:
+        log_q = log_term_mag(M, k, sigma)
+        out.append((math.exp(log_term_mag(M + 1, k, sigma) - log_q),
+                    head_ratio(M, k, sigma),
+                    tail_ratio_upper(M + 2, k, sigma, log_q)))
+    return out
+
+
+@pytest.mark.parametrize("M,k,j", SWEEP_CELLS)
+def test_certificates_bound_dense_minimum(M, k, j):
+    terms = _dense_terms(M, k)
+    edges = [abs(1.0 - r) - h - tail for r, h, tail in (terms[0], terms[-1])]
+    gap_min = min(edges + [1.0 + r - h - tail for r, h, tail in terms])
+    margin_min = min((1.0 + r) / math.sqrt(2.0) - h - tail
+                     for r, h, tail in terms)
+    cert = rouche_certificate(M, k, j)
+    margin = hline_margin(M, k, j)
+    assert cert.holds and margin > 0.0
+    for got, dense in ((cert.min_gap, gap_min), (margin, margin_min)):
+        assert got <= dense
+        assert dense - got <= 1e-3 * abs(dense)
+
+
+def test_certificates_same_for_every_cell_of_a_strip():
+    gaps = {rouche_certificate(3, 400, j).min_gap for j in (0, 1, 7, 39, 200)}
+    margins = {hline_margin(3, 400, j) for j in (0, 1, 7, 39, 200)}
+    assert len(gaps) == 1 and len(margins) == 1
 
 def test_locate_zero_k38():
     rec = locate_zero(2, 38, 0, 1e-12)

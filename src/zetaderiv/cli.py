@@ -132,7 +132,7 @@ def cmd_zeros(args) -> tuple[dict, list[str]]:
         raise SystemExit("pass either --T or --count-at")
     if T <= 0.0:
         raise SystemExit(f"zeros needs a positive height, got T = {T}")
-    records, n = enumerate_zeros(args.M, args.k, T, workers=args.parallel)
+    records, n = enumerate_zeros(args.M, args.k, T)
     record_dicts = [_record_json(r) for r in records]
     lines = [json.dumps(d, sort_keys=True) for d in record_dicts]
     lines.append(f"N = {n} zeros up to T = {T:.6f}")
@@ -257,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count-at", type=int, default=None, metavar="J",
                     help="evaluate at the sanctioned height T_J and check "
                          "the count equals J")
-    sp.add_argument("--parallel", type=int, default=1, metavar="N",
-                    help="worker processes for zero enumeration")
     sp.set_defaults(func=cmd_zeros)
 
     sp = add("verify", help="run constant-verification suites")

@@ -15,6 +15,9 @@ from .scaled import ScaledComplex
 from .series import EvalResult
 
 MAX_BERNOULLI_TERMS = 25
+# Cauchy circles: the largest radius, and the node count where doubling stops
+CAUCHY_RADIUS = 0.25
+MAX_NODES = 4096
 
 # real-part bounds above which the k-th derivative has no zeros (classical
 # zero-free results for zeta itself and for low derivatives)
@@ -80,44 +83,45 @@ def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
                       terms_used=N)
 
 
-def pick_radius(s: ComplexPoint, radius: float = 0.25) -> float:
+def pick_radius(s: ComplexPoint) -> float:
     dist_pole = abs(s.to_complex() - 1.0)
-    r = min(radius, 0.5 * dist_pole, 0.8 * s.sigma)
+    r = min(CAUCHY_RADIUS, 0.5 * dist_pole, 0.8 * s.sigma)
     if r <= 1e-6:
         raise ValueError(f"no feasible Cauchy radius at s={s} "
                          "(too close to the pole or the sigma=0 line)")
     return r
 
 
-def eval_deriv_cauchy(s: ComplexPoint, k: int, eps: float = 1e-10,
-                      radius: float = 0.25) -> EvalResult:
+def eval_deriv_cauchy(s: ComplexPoint, k: int,
+                      eps: float = 1e-10) -> EvalResult:
     """k-th derivative via the trapezoid rule on a circle around s.
 
     Nodes double from 64 until two successive approximations agree within
-    eps, or up to 4096; the error estimate is the last doubling difference.
+    eps, or up to MAX_NODES; the error estimate is the last doubling
+    difference.
     """
     if s.sigma <= 0.0:
         raise ValueError(f"Cauchy differentiation needs sigma > 0, "
                          f"got {s.sigma}")
-    r = pick_radius(s, radius)
+    r = pick_radius(s)
     z0 = s.to_complex()
     kfac = math.factorial(k)
 
+    # node i of a ring with n nodes is node i * (MAX_NODES // n) of the
+    # finest ring, so each doubling evaluates only the new half
     cached: dict[int, complex] = {}
 
     def ring_sum(nodes: int) -> complex:
         acc = 0j
         for i in range(nodes):
-            key = i * (4096 // nodes) if 4096 % nodes == 0 else -1
+            key = i * (MAX_NODES // nodes)
             theta = 2.0 * math.pi * i / nodes
-            zt = z0 + r * cmath.exp(1j * theta)
-            if key >= 0 and key in cached:
-                fz = cached[key]
-            else:
+            fz = cached.get(key)
+            if fz is None:
+                zt = z0 + r * cmath.exp(1j * theta)
                 fz = eval_zeta_em(ComplexPoint(zt.real, zt.imag),
                                   eps * 0.01).value.to_complex()
-                if key >= 0:
-                    cached[key] = fz
+                cached[key] = fz
             acc += fz * cmath.exp(-1j * k * theta)
         return acc * kfac / (nodes * r ** k)
 
@@ -127,7 +131,7 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int, eps: float = 1e-10,
         nodes *= 2
         cur = ring_sum(nodes)
         diff = abs(cur - prev)
-        if diff <= eps * max(1.0, abs(cur)) or nodes >= 4096:
+        if diff <= eps * max(1.0, abs(cur)) or nodes >= MAX_NODES:
             return EvalResult(value=ScaledComplex.from_complex(cur),
                               abs_error_bound=ScaledComplex.from_parts(
                                   diff, 0.0),

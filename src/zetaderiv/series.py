@@ -19,21 +19,12 @@ from .scaled import ScaledComplex
 DELTA_MIN = 0.05
 DEFAULT_EPS_REL = 1e-12
 MAX_TERMS = 1 << 22
-
-# lazily grown log tables, indexed by n (entries 0 and 1 unused)
-_ln = np.array([np.nan, 0.0])
-_lln = np.array([np.nan, np.nan])
-
-
-def _tables(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    global _ln, _lln
-    if len(_ln) <= n_max:
-        size = max(n_max + 1, 2 * len(_ln))
-        idx = np.arange(len(_ln), size, dtype=float)
-        ln_new = np.log(idx)
-        _ln = np.concatenate([_ln, ln_new])
-        _lln = np.concatenate([_lln, np.log(ln_new)])
-    return _ln, _lln
+# term cap of the cutoff search that decides whether the series is practical
+PRACTICAL_TERMS = 1 << 20
+# tail_ratio_upper closes with the integral bound once it is below this
+# fraction of the running sum, or after this many exact terms
+TAIL_REL_CUT = 1e-9
+TAIL_MAX_EXACT = 100000
 
 
 @dataclass(frozen=True)
@@ -92,12 +83,12 @@ def head_ratio(M: int, k: float, sigma: float) -> float:
 def _partial_sum(k: int, sigma: float, t: float, n_lo: int,
                  n_hi: int) -> ScaledComplex:
     """sum_{n=n_lo}^{n_hi} Q_n^k(sigma + it), scaled; pairwise summation."""
-    ln, lln = _tables(n_hi)
-    ln = ln[n_lo:n_hi + 1]
-    lln = lln[n_lo:n_hi + 1]
-    expo = k * lln - sigma * ln
+    ln = np.log(np.arange(n_lo, n_hi + 1, dtype=float))
+    expo = k * np.log(ln) - sigma * ln
     shift = float(expo.max())
-    vals = np.exp(expo - shift) * np.exp(-1j * t * ln)
+    vals = np.exp(expo - shift)
+    if t != 0.0:
+        vals = vals * np.exp(-1j * t * ln)
     return ScaledComplex.from_parts(complex(vals.sum()), shift)
 
 
@@ -115,6 +106,15 @@ def tail_bound(M: int, k: int, sigma: float) -> TailBound:
     valid = k - 1.0 < (sigma - 1.0) * math.log(M)
     R = _tail_R(M, k, sigma) if valid else math.inf
     return TailBound(M, k, sigma, R, valid)
+
+
+def _log_tail(N: int, k: int, sigma: float) -> float:
+    """log(Q_N(sigma) * R_N^k(sigma)), the log of the certified bound on
+    sum_{n>N} Q_n(sigma); inf where the integral bound is invalid."""
+    tb = tail_bound(N, k, sigma)
+    if not tb.valid:
+        return math.inf
+    return log_term_mag(N, k, sigma) + math.log(tb.R)
 
 
 def tail_monotonicity_conditions(M: int, a1: float, b1: float,
@@ -135,68 +135,69 @@ def tail_monotonicity_conditions(M: int, a1: float, b1: float,
     return True
 
 
+def _cutoff(k: int, sigma: float, eps_rel: float,
+            cap: int) -> tuple[int, bool]:
+    """Smallest doubling cutoff N from 16 on whose certified tail is at most
+    eps_rel * sum_{n=2}^N Q_n(sigma), or the first N >= cap; and whether that
+    N meets the test.  Each doubling sums only the new terms (N, 2N]."""
+    if sigma <= 1.0:
+        raise ValueError(f"series truncation needs sigma > 1, got {sigma}")
+    if eps_rel <= 0.0:
+        raise ValueError(f"eps_rel must be positive, got {eps_rel}")
+    log_eps = math.log(eps_rel)
+    N = 16
+    mag = _partial_sum(k, sigma, 0.0, 2, N)
+    while True:
+        if _log_tail(N, k, sigma) <= log_eps + mag.log_abs():
+            return N, True
+        if N >= cap:
+            return N, False
+        mag = mag + _partial_sum(k, sigma, 0.0, N + 1, 2 * N)
+        N *= 2
+
+
 def choose_truncation(k: int, sigma: float, eps_rel: float,
                       max_terms: int = MAX_TERMS) -> int:
     """Smallest doubling cutoff N with certified tail <= eps_rel * sum of
     term magnitudes.  Capped at max_terms; the caller sees the bound actually
     achieved through EvalResult."""
-    if sigma <= 1.0:
-        raise ValueError(f"series truncation needs sigma > 1, got {sigma}")
-    if eps_rel <= 0.0:
-        raise ValueError(f"eps_rel must be positive, got {eps_rel}")
-    N = 16
-    while True:
-        mag_log = _partial_sum(k, sigma, 0.0, 2, N).log_abs()
-        tb = tail_bound(N, k, sigma)
-        if tb.valid and (log_term_mag(N, k, sigma) + math.log(tb.R)
-                         <= math.log(eps_rel) + mag_log):
-            return N
-        if N >= max_terms:
-            return N
-        N *= 2
+    return _cutoff(k, sigma, eps_rel, max_terms)[0]
 
 
-def series_is_practical(k: int, sigma: float, eps_rel: float,
-                        cap: int = 1 << 20) -> bool:
-    """Whether the series can certify eps_rel with at most cap terms."""
+def series_is_practical(k: int, sigma: float, eps_rel: float) -> bool:
+    """Whether the series can certify eps_rel with at most PRACTICAL_TERMS
+    terms."""
     if sigma <= 1.0 + DELTA_MIN:
         return False
-    N = choose_truncation(k, sigma, eps_rel, max_terms=cap)
-    tb = tail_bound(N, k, sigma)
-    mag_log = _partial_sum(k, sigma, 0.0, 2, N).log_abs()
-    return tb.valid and (log_term_mag(N, k, sigma) + math.log(tb.R)
-                         <= math.log(eps_rel) + mag_log)
+    return _cutoff(k, sigma, eps_rel, PRACTICAL_TERMS)[1]
 
 
-def eval_deriv(s: ComplexPoint, k: int, eps_rel: float = DEFAULT_EPS_REL,
-               delta_min: float = DELTA_MIN) -> EvalResult:
-    """Value of the k-th zeta derivative at s, sigma > 1 + delta_min.
+def eval_deriv(s: ComplexPoint, k: int,
+               eps_rel: float = DEFAULT_EPS_REL) -> EvalResult:
+    """Value of the k-th zeta derivative at s, sigma > 1 + DELTA_MIN.
 
     The certified error bound is the integral tail bound at the cutoff;
     rounding of individual mantissas (~1e-16 relative) is excluded.
     """
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
-    if s.sigma <= 1.0 + delta_min:
+    if s.sigma <= 1.0 + DELTA_MIN:
         raise ValueError(
             f"sigma={s.sigma} too close to 1 for the Dirichlet series; "
             "use the continuation module for sigma <= "
-            f"{1.0 + delta_min}")
+            f"{1.0 + DELTA_MIN}")
     N = choose_truncation(k, s.sigma, eps_rel)
     value = _partial_sum(k, s.sigma, s.t, 2, N)
     if k == 0:
         value = value + ScaledComplex.one()  # the n = 1 term
     elif k % 2:
         value = -value
-    tb = tail_bound(N, k, s.sigma)
-    bound = ScaledComplex.from_polar(
-        log_term_mag(N, k, s.sigma) + math.log(tb.R), 0.0)
+    bound = ScaledComplex.from_polar(_log_tail(N, k, s.sigma), 0.0)
     return EvalResult(value=value, abs_error_bound=bound, terms_used=N - 1)
 
 
-def tail_ratio_upper(m_start: int, k: int, sigma: float, log_ref: float,
-                     rel_cut: float = 1e-9,
-                     max_exact: int = 100000) -> float:
+def tail_ratio_upper(m_start: int, k: int, sigma: float,
+                     log_ref: float) -> float:
     """Certified upper bound on sum_{n>=m_start} Q_n(sigma) / e^log_ref.
 
     Sums exact terms until the integral bound anchored at the current index
@@ -212,8 +213,8 @@ def tail_ratio_upper(m_start: int, k: int, sigma: float, log_ref: float,
         q_n = math.exp(log_term_mag(n, k, sigma) - log_ref)
         if (sigma - 1.0) * math.log(n) > k - 1.0:
             closing = q_n * _tail_R(n, k, sigma)
-            if closing <= rel_cut * max(total + q_n, q_n) \
-                    or n - m_start >= max_exact:
+            if closing <= TAIL_REL_CUT * max(total + q_n, q_n) \
+                    or n - m_start >= TAIL_MAX_EXACT:
                 return total + q_n + closing
         total += q_n
         n += 1

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .geometry import LOG3, TWO_PI, q_value, wedge
 from .series import head_ratio, log_term_mag, tail_bound, tail_ratio_upper
 from .zeros import Rect, series_evaluator, winding_number
 
 EQ_TOL = 1e-12
+# remark scan: half-width of the box around the mid-wedge line, its height
+# in strip periods, and how far the scan reaches on each side of the claim
+LINE_HALF_WIDTH = 0.5 * LOG3
+LINE_PERIODS = 3.0
+SCAN_SPAN = 8
 
 TIP_TABLE = {3: 20, 4: 71, 5: 151, 6: 269, 7: 429, 8: 638, 9: 898, 10: 1214}
 ONLINE_TABLE = {3: 14, 4: 41, 5: 87, 6: 154, 7: 247, 8: 368, 9: 519, 10: 703}
@@ -128,18 +132,16 @@ def verify_m4_10_table() -> list[ConstantCheck]:
     return checks
 
 
-def verify_head_bound(M_range: Iterable[int] = range(2, 101),
-                      k_samples: Sequence[float] = ()) -> list[ConstantCheck]:
+def verify_head_bound() -> list[ConstantCheck]:
     """The geometric head estimate: (M/(M+1))^((M+1) log 3) increases to its
     asymptote 1/3, and the head-to-dominant ratio stays at or below the
     geometric-series value 1/2 on left wedge boundaries."""
     checks = []
-    ms = sorted(M_range)
 
     def f(M: int) -> float:
         return (M / (M + 1.0)) ** ((M + 1.0) * LOG3)
 
-    vals = [f(M) for M in ms]
+    vals = [f(M) for M in range(2, 101)]
     monotone = all(a < b for a, b in zip(vals, vals[1:]))
     checks.append(_check("head.ratio_monotone_increasing", 1.0,
                          1.0 if monotone else 0.0, '=within', 0.0))
@@ -150,30 +152,27 @@ def verify_head_bound(M_range: Iterable[int] = range(2, 101),
     checks.append(_check("head.h2_over_q2_empty", 0.0,
                          head_ratio(2, 38, q_value(2) * 38 + 3 * LOG3),
                          '=within', 0.0))
-    pairs = [(M, math.ceil(wedge(M).tip_k)) for M in (4, 7, 11, 15)]
-    pairs += [(M, k) for M, k in k_samples]
-    for M, k in pairs:
+    for M in (4, 7, 11, 15):
+        k = math.ceil(wedge(M).tip_k)
         sigma = q_value(M) * k + (M + 1) * LOG3
         checks.append(_check(f"head.h{M}_over_q{M}_k{k}", 0.5,
                              head_ratio(M, k, sigma), '<='))
     return checks
 
 
-def _line_zero_count(M: int, k: int, half_width: float,
-                     periods: float) -> int:
+def _line_zero_count(M: int, k: int) -> int:
     """Zeros of the k-th derivative in a thin box around the mid-wedge line
-    of wedge M, up to the given number of strip periods in height."""
+    of wedge M, up to LINE_PERIODS strip periods in height."""
     w = wedge(M)
     sigma_mid = 0.5 * (w.sigma_left(k) + w.sigma_right(k))
     delta = math.log(M) - math.log(M - 1)  # strip S_{M-1} spacing
-    t_hi = periods * TWO_PI / delta
-    rect = Rect(sigma_mid - half_width, sigma_mid + half_width, 0.05, t_hi)
+    t_hi = LINE_PERIODS * TWO_PI / delta
+    rect = Rect(sigma_mid - LINE_HALF_WIDTH, sigma_mid + LINE_HALF_WIDTH,
+                0.05, t_hi)
     return winding_number(rect, series_evaluator(k)).count
 
 
-def verify_remark_tables(max_M: int = 5, half_width: float = 0.5 * LOG3,
-                         periods: float = 3.0,
-                         scan_span: int = 8) -> list[ConstantCheck]:
+def verify_remark_tables(max_M: int = 5) -> list[ConstantCheck]:
     """The two closing-table rows: wedge-tip ceilings recomputed from the
     closed form, and the lowest zero-free k on mid-wedge lines found by a
     winding scan around the claimed value.
@@ -191,10 +190,10 @@ def verify_remark_tables(max_M: int = 5, half_width: float = 0.5 * LOG3,
         if M > max_M:
             continue
         found = None
-        k_lo = max(3, claimed - scan_span)
+        k_lo = max(3, claimed - SCAN_SPAN)
         prev_count = None
-        for k in range(k_lo, claimed + scan_span + 1):
-            n = _line_zero_count(M, k, half_width, periods)
+        for k in range(k_lo, claimed + SCAN_SPAN + 1):
+            n = _line_zero_count(M, k)
             if n == 0 and (prev_count is None or prev_count > 0):
                 found = k
                 break

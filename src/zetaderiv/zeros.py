@@ -9,9 +9,7 @@ sign decisions untouched.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
@@ -26,6 +24,7 @@ TWO_PI = 2.0 * math.pi
 REL_ZERO_FLOOR = math.log(1e-8)
 MAX_SUBDIV_DEPTH = 48
 INIT_SAMPLES_PER_EDGE = 64
+NEWTON_MAX_ITERS = 60
 # certificate sweeps: sigma intervals per cell, and bisection depth of each
 SWEEP_INTERVALS = 256
 MAX_BISECT_DEPTH = 12
@@ -138,7 +137,6 @@ class _PhaseWalker:
 
 
 def winding_number(rect: Rect, evaluator: Evaluator,
-                   samples_per_edge: int = INIT_SAMPLES_PER_EDGE,
                    sample_density: float = 0.0) -> WindingResult:
     """Zeros of the evaluator inside rect, by accumulated boundary phase.
 
@@ -157,7 +155,7 @@ def winding_number(rect: Rect, evaluator: Evaluator,
     prev_v: ScaledComplex | None = None
     for edge in range(4):
         za, zb = corners[edge], corners[(edge + 1) % 4]
-        n_edge = max(samples_per_edge,
+        n_edge = max(INIT_SAMPLES_PER_EDGE,
                      math.ceil(abs(zb - za) * sample_density))
         for i in range(n_edge):
             z = za + (zb - za) * (i / n_edge)
@@ -184,8 +182,7 @@ def winding_number(rect: Rect, evaluator: Evaluator,
     )
 
 
-def series_evaluator(k: int, M_ref: int | None = None,
-                     eps_rel: float = 1e-12) -> Evaluator:
+def series_evaluator(k: int, M_ref: int | None = None) -> Evaluator:
     """Dirichlet-series evaluator normalized by a positive real scale.
 
     With M_ref fixed the scale is Q_{M_ref}(sigma); otherwise the dominant
@@ -194,7 +191,7 @@ def series_evaluator(k: int, M_ref: int | None = None,
     """
 
     def f(z: complex) -> ScaledComplex:
-        res = eval_deriv(ComplexPoint(z.real, z.imag), k, eps_rel)
+        res = eval_deriv(ComplexPoint(z.real, z.imag), k)
         n_ref = M_ref if M_ref is not None else dominant_index(z.real, k)
         scale = ScaledComplex.from_polar(log_term_mag(n_ref, k, z.real), 0.0)
         return res.value / scale
@@ -307,13 +304,13 @@ def _normalized_residual(s: ComplexPoint, k: int) -> float:
     return math.exp(res.value.log_abs() - ref)
 
 
-def _newton_from(start: complex, k: int, tol: float, c: CellRect,
-                 max_iters: int = 60) -> tuple[complex, int] | None:
+def _newton_from(start: complex, k: int, tol: float,
+                 c: CellRect) -> tuple[complex, int] | None:
     """Newton on the k-th derivative; None if the iterate escapes the cell
     twice or fails to converge."""
     z = start
     escapes = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, NEWTON_MAX_ITERS + 1):
         f = eval_deriv(ComplexPoint(z.real, z.imag), k).value
         fp = eval_deriv(ComplexPoint(z.real, z.imag), k + 1).value
         if fp.is_zero():
@@ -384,21 +381,15 @@ def locate_zero(M: int, k: int, j: int, tol: float = 1e-12) -> ZeroRecord:
     )
 
 
-def enumerate_zeros(M: int, k: int, T: float, tol: float = 1e-12,
-                    workers: int = 1) -> tuple[list[ZeroRecord], int]:
+def enumerate_zeros(M: int, k: int, T: float,
+                    tol: float = 1e-12) -> tuple[list[ZeroRecord], int]:
     """All strip-S_M zeros of the k-th derivative with 0 < t <= T, plus the
-    count N at height T.  With workers > 1 the cells are located in a
-    process pool, which only pays off for long enumerations."""
+    count N at height T."""
     if T <= 0.0:
         raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
     c0 = cell(M, k, 0)
     delta = c0.strip.delta
     j_max = math.ceil(T * delta / TWO_PI)
-    if workers > 1 and j_max > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            located = list(pool.map(locate_zero, repeat(M), repeat(k),
-                                    range(j_max), repeat(tol)))
-    else:
-        located = [locate_zero(M, k, j, tol) for j in range(j_max)]
+    located = [locate_zero(M, k, j, tol) for j in range(j_max)]
     records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

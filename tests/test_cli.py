@@ -140,15 +140,6 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert out1.strip() in out2
 
 
-def test_parallel_enumeration_matches_serial(capsys):
-    code, out1 = run(capsys, "zeros", "--M", "2", "--k", "38",
-                     "--count-at", "3")
-    code, out2 = run(capsys, "zeros", "--M", "2", "--k", "38",
-                     "--count-at", "3", "--parallel", "2")
-    strip = lambda s: [l for l in s.splitlines() if l.startswith("{")]
-    assert strip(out1) == strip(out2)
-
-
 def test_berndt_guard(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "berndt", "--k", "5", "--T", "50")

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetaderiv import series
 from zetaderiv.geometry import ComplexPoint, q_value
-from zetaderiv.series import (DELTA_MIN, choose_truncation, eval_deriv, head,
-                              log_term_mag, series_is_practical, tail_bound,
-                              tail_monotonicity_conditions, tail_ratio_upper,
-                              term)
+from zetaderiv.series import (DELTA_MIN, MAX_TERMS, PRACTICAL_TERMS,
+                              _partial_sum, choose_truncation, eval_deriv,
+                              head, log_term_mag, series_is_practical,
+                              tail_bound, tail_monotonicity_conditions,
+                              tail_ratio_upper, term)
 from zetaderiv.zeros import series_evaluator
 
 mp.mp.dps = 30
@@ -153,6 +157,84 @@ def test_choose_truncation_monotone_in_eps():
 def test_series_is_practical():
     assert series_is_practical(1, 3.0, 1e-10)
     assert not series_is_practical(0, 1.1, 1e-10)
+
+
+def _oracle_cutoffs(k, sigma, eps_rel, cap):
+    """(N, met) at each doubling N = 16, 32, ... up to the first N that meets
+    the tail test or reaches cap, re-summing sum_{n=2}^N Q_n from scratch at
+    every N."""
+    out = []
+    N = 16
+    while True:
+        ln = np.log(np.arange(2, N + 1, dtype=float))
+        expo = k * np.log(ln) - sigma * ln
+        shift = expo.max()
+        log_mag = shift + math.log(math.fsum(np.exp(expo - shift).tolist()))
+        tb = tail_bound(N, k, sigma)
+        met = tb.valid and (log_term_mag(N, k, sigma) + math.log(tb.R)
+                            <= math.log(eps_rel) + log_mag)
+        out.append((N, met))
+        if met or N >= cap:
+            return out
+        N *= 2
+
+
+# (k, sigma, eps_rel): both sides of the k = 1, eps = 1e-10 route flip, near
+# the sigma = 1 + DELTA_MIN guard, series that never certify within the
+# caps, and the high-k strip regime
+CUTOFF_POINTS = [
+    (1, 2.9156997019452, 1e-10), (1, 2.9156997019458, 1e-10),
+    (1, 1.04, 1e-10), (1, 1.5, 1e-10), (1, 2.0, 1e-4), (1, 3.5, 1e-10),
+    (1, 4.0, 1e-12), (1, 5.0, 1e-10), (1, 10.0, 1e-10), (1, 3.0, 1e-4),
+    (0, 1.06, 1e-3), (0, 2.0, 1e-6), (0, 3.0, 1e-10), (0, 6.0, 1e-12),
+    (0, 2.5, 1e-4), (2, 3.0, 1e-8), (2, 4.0, 1e-12), (2, 5.0, 1e-12),
+    (2, 7.5, 1e-12), (2, 4.0, 1e-6), (2, 5.0, 1e-6), (3, 1.2, 1e-10),
+    (3, 4.0, 1e-4), (3, 5.0, 1e-10), (3, 6.0, 1e-12), (3, 12.0, 1e-12),
+    (5, 6.0, 1e-12), (6, 8.0, 1e-10), (10, 12.0, 1e-12), (10, 20.0, 1e-12),
+    (30, 20.0, 1e-12), (30, 40.0, 1e-12), (100, 60.0, 1e-12),
+    (100, 120.0, 1e-12), (400, q_value(2) * 400, 1e-12),
+    (800, q_value(2) * 800, 1e-12), (800, q_value(3) * 800 + 1.0, 1e-12),
+    (2, 1.8, 1e-3),
+]
+
+
+def test_cutoff_search_matches_resumming_oracle():
+    for k, sigma, eps in CUTOFF_POINTS:
+        steps = _oracle_cutoffs(k, sigma, eps, MAX_TERMS)
+        assert choose_truncation(k, sigma, eps) == steps[-1][0], (k, sigma)
+        practical = sigma > 1.0 + DELTA_MIN and any(
+            met for N, met in steps if N <= PRACTICAL_TERMS)
+        assert series_is_practical(k, sigma, eps) == practical, (k, sigma)
+    # the two sides of the flip take different routes
+    assert not series_is_practical(1, 2.9156997019452, 1e-10)
+    assert series_is_practical(1, 2.9156997019458, 1e-10)
+    # capped at max_terms: the first doubling N >= 1000, test not met
+    steps = _oracle_cutoffs(1, 1.2, 1e-10, 1000)
+    assert steps[-1] == (1024, False)
+    assert choose_truncation(1, 1.2, 1e-10, max_terms=1000) == 1024
+
+
+def test_series_is_practical_keeps_no_memory():
+    assert not any(isinstance(v, np.ndarray) for v in vars(series).values())
+    tracemalloc.start()
+    try:
+        assert not series_is_practical(1, 1.5, 1e-10)  # sums 2^20 terms
+        still_allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert still_allocated < 1 << 20
+
+
+def test_partial_sum_real_path_matches_complex_path():
+    # t = 1e-300 rounds every phase factor to 1 - 0j, so it runs the complex
+    # path on the t = 0 values
+    for k, sigma, lo, hi in [(0, 2.0, 2, 1000), (3, 4.0, 2, 64),
+                             (1, 1.5, 17, 4096),
+                             (800, q_value(2) * 800, 2, 40)]:
+        real = _partial_sum(k, sigma, 0.0, lo, hi)
+        cplx = _partial_sum(k, sigma, 1e-300, lo, hi)
+        assert real.mantissa.imag == 0.0
+        assert (real - cplx).log_abs() <= real.log_abs() + math.log(1e-15)
 
 
 def test_tail_ratio_upper_bounds_brute():

@@ -1,14 +1,19 @@
 """Zeta for sigma > 0 via Euler-Maclaurin, and derivatives by Cauchy circles.
 
+One Euler-Maclaurin kernel evaluates zeta over an array of points. A Cauchy
+ring is filled in one vectorized pass, and each node doubling evaluates only
+the new nodes, in one more pass.
+
 Error control here is heuristic (last-correction-term magnitude, node-doubling
 agreement), not certified; anything that needs certified bounds goes through
 the Dirichlet series in :mod:`zetaderiv.series` instead.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .geometry import ComplexPoint
 from .scaled import ScaledComplex
@@ -18,6 +23,7 @@ MAX_BERNOULLI_TERMS = 25
 # Cauchy circles: the largest radius, and the node count where doubling stops
 CAUCHY_RADIUS = 0.25
 MAX_NODES = 4096
+_THETA = 2.0 * math.pi * np.arange(MAX_NODES) / MAX_NODES
 
 # real-part bounds above which the k-th derivative has no zeros (classical
 # zero-free results for zeta itself and for low derivatives)
@@ -35,32 +41,48 @@ def _bernoulli_table(count: int) -> list[float]:
     return [float(x) for x in b]
 
 
-_B = _bernoulli_table(2 * MAX_BERNOULLI_TERMS + 2)
+_B = _bernoulli_table(2 * MAX_BERNOULLI_TERMS)
+# the r-th correction term is B_2r/(2r)! * N^(1-s-2r) * prod_{i=0}^{2r-2}(s+i)
+_R = np.arange(1, MAX_BERNOULLI_TERMS + 1)
+_EM_COEF = np.array([_B[2 * r] / math.factorial(2 * r) for r in _R])
 
 
-def _zeta_em_raw(s: complex, N: int, eps: float) -> tuple[complex, float]:
-    """Euler-Maclaurin zeta value with cutoff N, and the magnitude of the
-    last correction term used."""
-    acc = 0j
-    for n in range(1, N):
-        acc += cmath.exp(-s * math.log(n))
-    ninv = cmath.exp(-s * math.log(N))
+def _zeta_em_raw(s: np.ndarray, N: int,
+                 eps: float) -> tuple[np.ndarray, float]:
+    """Euler-Maclaurin zeta values at the points of the 1-D array s with
+    cutoff N, and the largest magnitude of the last correction term used.
+
+    Corrections are added up to the first r whose term is at most eps/100
+    at every point, or up to MAX_BERNOULLI_TERMS.
+    """
+    acc = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N)))).sum(axis=1)
+    ninv = np.exp(-s * math.log(N))
     acc += ninv * N / (s - 1.0)
     acc += 0.5 * ninv
-    # correction terms B_2r/(2r)! * N^(1-s-2r) * prod_{i=0}^{2r-2}(s+i)
-    poly = s  # running product s(s+1)...(s+2r-2)
-    npow = ninv / N
-    last = math.inf
-    for r in range(1, MAX_BERNOULLI_TERMS + 1):
-        coef = _B[2 * r] / math.factorial(2 * r)
-        term_v = coef * poly * npow
-        acc += term_v
-        last = abs(term_v)
-        if last <= eps * 0.01:
+    # column r-1 holds s(s+1)...(s+2r-2)
+    poly = np.cumprod(np.add.outer(s, np.arange(2 * MAX_BERNOULLI_TERMS - 1)),
+                      axis=1)[:, ::2]
+    terms = _EM_COEF * poly * np.multiply.outer(ninv,
+                                                float(N) ** (1 - 2 * _R))
+    largest = np.abs(terms).max(axis=0)
+    small = np.flatnonzero(largest <= eps * 0.01)
+    used = small[0] + 1 if small.size else MAX_BERNOULLI_TERMS
+    return acc + terms[:, :used].sum(axis=1), float(largest[used - 1])
+
+
+def _zeta_em(s: np.ndarray, eps: float) -> tuple[np.ndarray, int, float]:
+    """zeta at each point of s (sigma > 0, s != 1): the values, the cutoff N
+    shared by all points and taken from the largest |t|, and the error
+    estimate."""
+    t_max = float(np.abs(s.imag).max())
+    N = max(10, math.ceil(1.3 * t_max / (2.0 * math.pi)) + 10)
+    value, est = _zeta_em_raw(s, N, eps)
+    for _ in range(4):
+        if est <= eps:
             break
-        poly *= (s + (2 * r - 1)) * (s + 2 * r)
-        npow /= N * N
-    return acc, last
+        N *= 2
+        value, est = _zeta_em_raw(s, N, eps)
+    return value, N, est
 
 
 def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
@@ -71,14 +93,8 @@ def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
     z = s.to_complex()
     if z == 1:
         raise ValueError("zeta has its pole at s = 1")
-    N = max(10, math.ceil(1.3 * abs(s.t) / (2.0 * math.pi)) + 10)
-    value, est = _zeta_em_raw(z, N, eps)
-    for _ in range(4):
-        if est <= eps:
-            break
-        N *= 2
-        value, est = _zeta_em_raw(z, N, eps)
-    return EvalResult(value=ScaledComplex.from_complex(value),
+    value, N, est = _zeta_em(np.array([z]), eps)
+    return EvalResult(value=ScaledComplex.from_complex(complex(value[0])),
                       abs_error_bound=ScaledComplex.from_parts(est, 0.0),
                       terms_used=N)
 
@@ -98,38 +114,30 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int,
 
     Nodes double from 64 until two successive approximations agree within
     eps, or up to MAX_NODES; the error estimate is the last doubling
-    difference.
+    difference. The 64-node ring is one vectorized Euler-Maclaurin pass,
+    and each doubling evaluates only its new nodes, in one more pass.
     """
     if s.sigma <= 0.0:
         raise ValueError(f"Cauchy differentiation needs sigma > 0, "
                          f"got {s.sigma}")
     r = pick_radius(s)
     z0 = s.to_complex()
-    kfac = math.factorial(k)
+    scale = math.factorial(k) / r ** k
+
+    def weighted_sum(theta: np.ndarray) -> complex:
+        fz, _, _ = _zeta_em(z0 + r * np.exp(1j * theta), eps * 0.01)
+        return complex(np.sum(fz * np.exp(-1j * k * theta)))
 
     # node i of a ring with n nodes is node i * (MAX_NODES // n) of the
-    # finest ring, so each doubling evaluates only the new half
-    cached: dict[int, complex] = {}
-
-    def ring_sum(nodes: int) -> complex:
-        acc = 0j
-        for i in range(nodes):
-            key = i * (MAX_NODES // nodes)
-            theta = 2.0 * math.pi * i / nodes
-            fz = cached.get(key)
-            if fz is None:
-                zt = z0 + r * cmath.exp(1j * theta)
-                fz = eval_zeta_em(ComplexPoint(zt.real, zt.imag),
-                                  eps * 0.01).value.to_complex()
-                cached[key] = fz
-            acc += fz * cmath.exp(-1j * k * theta)
-        return acc * kfac / (nodes * r ** k)
-
+    # finest ring, so a doubling adds the odd multiples of the new step
     nodes = 64
-    prev = ring_sum(nodes)
+    acc = weighted_sum(_THETA[::MAX_NODES // nodes])
+    prev = acc * scale / nodes
     while True:
+        step = MAX_NODES // (2 * nodes)
+        acc += weighted_sum(_THETA[step::2 * step])
         nodes *= 2
-        cur = ring_sum(nodes)
+        cur = acc * scale / nodes
         diff = abs(cur - prev)
         if diff <= eps * max(1.0, abs(cur)) or nodes >= MAX_NODES:
             return EvalResult(value=ScaledComplex.from_complex(cur),

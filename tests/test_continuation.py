@@ -1,15 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from zetaderiv import continuation
 from zetaderiv.continuation import (SIGMA_MAX_TABLE, _bernoulli_table,
                                     count_zeros_halfplane, eval_deriv_cauchy,
                                     eval_zeta_em, pick_radius)
 from zetaderiv.geometry import ComplexPoint
 
 mp.mp.dps = 30
+
+# the sigma and t range of the half-plane counts
+HALFPLANE_SIGMAS = (0.1, 2.9)
+HALFPLANE_TS = (0.2, 45.0, 95.0)
 
 
 def test_bernoulli_table_known_values():
@@ -25,11 +32,23 @@ def test_bernoulli_table_known_values():
 @pytest.mark.parametrize("sigma,t", [
     (0.5, 14.134725), (0.3, 25.0), (2.5, 100.0), (0.05, 3.0), (0.5, 150.0),
     (1.5, 0.0), (0.9, -8.0),
-])
+] + list(itertools.product(HALFPLANE_SIGMAS, HALFPLANE_TS)))
 def test_eval_zeta_em_matches_mpmath(sigma, t):
     got = eval_zeta_em(ComplexPoint(sigma, t), 1e-12).value.to_complex()
     want = complex(mp.zeta(complex(sigma, t)))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_zeta_em_points_share_the_cutoff_of_the_largest_t():
+    # one call over points far apart in t: the cutoff comes from t = 150
+    # and must serve the points near the real axis as well
+    s = np.array([0.1 + 0.2j, 2.9 + 5.0j, 0.5 - 14.134725j, 0.3 + 45.0j,
+                  2.9 + 95.0j, 0.7 + 150.0j])
+    got, N, _ = continuation._zeta_em(s, 1e-12)
+    assert N >= 1.3 * 150.0 / (2.0 * math.pi)
+    for z, value in zip(s, got):
+        want = complex(mp.zeta(complex(z)))
+        assert complex(value) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_eval_zeta_em_guards():
@@ -42,12 +61,26 @@ def test_eval_zeta_em_guards():
 @pytest.mark.parametrize("sigma,t,k", [
     (1.5, 2.0, 1), (0.7, 20.0, 2), (2.0, 0.0, 1), (2.0, 0.0, 3),
     (0.5, 30.0, 1),
-])
+] + list(itertools.product(HALFPLANE_SIGMAS, HALFPLANE_TS, (1, 2, 3))))
 def test_eval_deriv_cauchy_matches_mpmath(sigma, t, k):
     res = eval_deriv_cauchy(ComplexPoint(sigma, t), k, 1e-10)
     want = complex(mp.diff(mp.zeta, complex(sigma, t), k))
     assert res.value.to_complex() == pytest.approx(want, rel=1e-8, abs=1e-10)
 
+
+def test_cauchy_ring_fills_in_one_kernel_call_per_doubling(monkeypatch):
+    kernel = continuation._zeta_em
+    sizes = []
+
+    def counting(s, eps):
+        sizes.append(s.size)
+        return kernel(s, eps)
+
+    monkeypatch.setattr(continuation, "_zeta_em", counting)
+    res = eval_deriv_cauchy(ComplexPoint(1.5, 2.0), 1, 1e-10)
+    assert res.terms_used == 128
+    # the 64-node ring, then the 64 new nodes of the doubling
+    assert sizes == [64, 64]
 
 
 def test_eval_deriv_cauchy_unconverged_reports_last_difference():

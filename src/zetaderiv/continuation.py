@@ -2,7 +2,7 @@
 
 One Euler-Maclaurin kernel evaluates zeta over an array of points. A Cauchy
 ring is filled in one vectorized pass, and each node doubling evaluates only
-the new nodes, in one more pass.
+the new nodes, in one more pass; a contour edge of zeta is one pass too.
 
 Error control here is heuristic (last-correction-term magnitude, node-doubling
 agreement), not certified; anything that needs certified bounds goes through
@@ -74,6 +74,11 @@ def _zeta_em(s: np.ndarray, eps: float) -> tuple[np.ndarray, int, float]:
     """zeta at each point of s (sigma > 0, s != 1): the values, the cutoff N
     shared by all points and taken from the largest |t|, and the error
     estimate."""
+    if np.count_nonzero(s.real <= 0.0):
+        raise ValueError(f"Euler-Maclaurin evaluation needs sigma > 0, "
+                         f"got {float(s.real.min())}")
+    if np.count_nonzero(s == 1):
+        raise ValueError("zeta has its pole at s = 1")
     t_max = float(np.abs(s.imag).max())
     N = max(10, math.ceil(1.3 * t_max / (2.0 * math.pi)) + 10)
     value, est = _zeta_em_raw(s, N, eps)
@@ -87,13 +92,7 @@ def _zeta_em(s: np.ndarray, eps: float) -> tuple[np.ndarray, int, float]:
 
 def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
     """zeta(s) for sigma > 0, s != 1; the error estimate is heuristic."""
-    if s.sigma <= 0.0:
-        raise ValueError(f"Euler-Maclaurin evaluation needs sigma > 0, "
-                         f"got {s.sigma}")
-    z = s.to_complex()
-    if z == 1:
-        raise ValueError("zeta has its pole at s = 1")
-    value, N, est = _zeta_em(np.array([z]), eps)
+    value, N, est = _zeta_em(np.array([s.to_complex()]), eps)
     return EvalResult(value=ScaledComplex.from_complex(complex(value[0])),
                       abs_error_bound=ScaledComplex.from_parts(est, 0.0),
                       terms_used=N)
@@ -148,13 +147,18 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int,
 
 
 def _evaluator_for(k: int, eps: float):
+    """Contour evaluator for count_zeros_halfplane: zeta over a whole array
+    of points in one Euler-Maclaurin call for k = 0, one Cauchy circle per
+    point for k >= 1."""
     if k == 0:
-        def f(z: complex) -> ScaledComplex:
-            return eval_zeta_em(ComplexPoint(z.real, z.imag), eps).value
+        def f(z: np.ndarray) -> np.ndarray:
+            return _zeta_em(z, eps)[0]
     else:
-        def f(z: complex) -> ScaledComplex:
-            return eval_deriv_cauchy(ComplexPoint(z.real, z.imag), k,
-                                     eps).value
+        def f(z: np.ndarray) -> np.ndarray:
+            return np.array([
+                eval_deriv_cauchy(ComplexPoint(p.real, p.imag), k,
+                                  eps).value.to_complex()
+                for p in z.tolist()])
     return f
 
 

@@ -1,10 +1,13 @@
 """Dirichlet-series evaluation of the k-th zeta derivative for sigma > 1.
 
 The k-th derivative is (-1)^k * sum_{n>=2} (log n)^k / n^s.  Individual terms
-span hundreds of orders of magnitude at high k, so everything is computed in
-log space and carried as ScaledComplex.  Truncation error is certified through
-the integral tail bound R_M^k(sigma) = M/(sigma-1) * (1 + k/((sigma-1)log M -
-k + 1)), valid whenever k - 1 < (sigma - 1) log M.
+span hundreds of orders of magnitude at high k, so every sum is shifted by its
+largest term exponent: eval_deriv carries one point as ScaledComplex, and
+eval_deriv_scaled returns plain complex values over an array of points,
+divided by a caller's scale of the same magnitude.  Truncation error is
+certified through the integral tail bound
+R_M^k(sigma) = M/(sigma-1) * (1 + k/((sigma-1)log M - k + 1)), valid whenever
+k - 1 < (sigma - 1) log M.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ PRACTICAL_TERMS = 1 << 20
 # fraction of the running sum, or after this many exact terms
 TAIL_REL_CUT = 1e-9
 TAIL_MAX_EXACT = 100000
+# largest number of array entries that a partial sum forms at once
+CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,8 @@ def head(M: int, k: int, s: ComplexPoint) -> ScaledComplex:
         raise ValueError(f"head needs M >= 2, got {M}")
     if M == 2:
         return ScaledComplex.zero()
-    return _partial_sum(k, s.sigma, s.t, 2, M - 1)
+    mant, shift = _partial_sum(k, s.sigma, s.t, 2, M - 1)
+    return ScaledComplex.from_parts(mant, shift)
 
 
 def head_ratio(M: int, k: float, sigma: float) -> float:
@@ -80,21 +86,46 @@ def head_ratio(M: int, k: float, sigma: float) -> float:
     return math.exp(h.log_abs() - log_term_mag(M, k, sigma))
 
 
-def _partial_sum(k: int, sigma: float, t: float, n_lo: int,
-                 n_hi: int) -> ScaledComplex:
-    """sum_{n=n_lo}^{n_hi} Q_n^k(sigma + it), scaled; pairwise summation."""
+def _partial_sum(k: int, sigma, t, n_lo: int, n_hi: int):
+    """sum_{n=n_lo}^{n_hi} Q_n^k(sigma + it) at one point (floats sigma and
+    t) or at each point of a 1-D array sigma (t an array or one float for
+    all), as mantissa m and exponent e with value m * e^e, e being the
+    point's largest term exponent; pairwise summation.  More than CHUNK
+    terms, or more points than fit into CHUNK entries, are summed in pieces.
+    The phase factor is skipped when every t is 0."""
+    n = n_hi - n_lo + 1
+    if n > CHUNK:
+        m1, e1 = _partial_sum(k, sigma, t, n_lo, n_lo + CHUNK - 1)
+        m2, e2 = _partial_sum(k, sigma, t, n_lo + CHUNK, n_hi)
+        shift = np.maximum(e1, e2)
+        return m1 * np.exp(e1 - shift) + m2 * np.exp(e2 - shift), shift
+    if isinstance(sigma, np.ndarray):
+        rows = CHUNK // n
+        if sigma.size > rows:
+            t = np.broadcast_to(t, sigma.shape)
+            parts = [_partial_sum(k, sigma[p:p + rows], t[p:p + rows], n_lo,
+                                  n_hi) for p in range(0, sigma.size, rows)]
+            return (np.concatenate([m for m, _ in parts]),
+                    np.concatenate([e for _, e in parts]))
+        # one row of terms per point; a float t applies to every point
+        sigma, t = sigma[:, None], np.reshape(t, (-1, 1))
     ln = np.log(np.arange(n_lo, n_hi + 1, dtype=float))
     expo = k * np.log(ln) - sigma * ln
-    shift = float(expo.max())
-    vals = np.exp(expo - shift)
-    if t != 0.0:
+    shift = np.maximum.reduce(expo, axis=-1)
+    vals = np.exp(expo - shift[..., None])
+    if np.count_nonzero(t):
         vals = vals * np.exp(-1j * t * ln)
-    return ScaledComplex.from_parts(complex(vals.sum()), shift)
+    return np.add.reduce(vals, axis=-1), shift
 
 
 def _tail_R(M: int, k: int, sigma: float) -> float:
     return M / (sigma - 1.0) * (1.0 + k / ((sigma - 1.0) * math.log(M)
                                            - k + 1.0))
+
+
+def _tail_valid(M: int, k: int, sigma):
+    """Whether the integral bound holds: k - 1 < (sigma - 1) log M."""
+    return k - 1.0 < (sigma - 1.0) * math.log(M)
 
 
 def tail_bound(M: int, k: int, sigma: float) -> TailBound:
@@ -103,18 +134,24 @@ def tail_bound(M: int, k: int, sigma: float) -> TailBound:
         raise ValueError(f"tail bound needs M >= 2, got {M}")
     if sigma <= 1.0:
         raise ValueError(f"tail bound needs sigma > 1, got {sigma}")
-    valid = k - 1.0 < (sigma - 1.0) * math.log(M)
+    valid = _tail_valid(M, k, sigma)
     R = _tail_R(M, k, sigma) if valid else math.inf
     return TailBound(M, k, sigma, R, valid)
 
 
-def _log_tail(N: int, k: int, sigma: float) -> float:
+def _log_tail(N: int, k: int, sigma):
     """log(Q_N(sigma) * R_N^k(sigma)), the log of the certified bound on
-    sum_{n>N} Q_n(sigma); inf where the integral bound is invalid."""
-    tb = tail_bound(N, k, sigma)
-    if not tb.valid:
+    sum_{n>N} Q_n(sigma), at a float sigma or at each point of an array;
+    inf where the integral bound is invalid."""
+    valid = _tail_valid(N, k, sigma)
+    if isinstance(valid, np.ndarray):
+        if not valid.all():
+            out = np.full(valid.shape, math.inf)
+            out[valid] = _log_tail(N, k, sigma[valid])
+            return out
+    elif not valid:
         return math.inf
-    return log_term_mag(N, k, sigma) + math.log(tb.R)
+    return log_term_mag(N, k, sigma) + np.log(_tail_R(N, k, sigma))
 
 
 def tail_monotonicity_conditions(M: int, a1: float, b1: float,
@@ -135,25 +172,31 @@ def tail_monotonicity_conditions(M: int, a1: float, b1: float,
     return True
 
 
-def _cutoff(k: int, sigma: float, eps_rel: float,
-            cap: int) -> tuple[int, bool]:
-    """Smallest doubling cutoff N from 16 on whose certified tail is at most
-    eps_rel * sum_{n=2}^N Q_n(sigma), or the first N >= cap; and whether that
-    N meets the test.  Each doubling sums only the new terms (N, 2N]."""
-    if sigma <= 1.0:
-        raise ValueError(f"series truncation needs sigma > 1, got {sigma}")
+def _cutoff(k: int, sigma, eps_rel: float, cap: int):
+    """At a float sigma, or at each point of a 1-D array: the smallest
+    doubling cutoff N from 16 on whose certified tail is at most
+    eps_rel * sum_{n=2}^N Q_n(sigma), or the first N >= cap; and whether
+    that N meets the test.  Each doubling adds only the new terms (N, 2N] to
+    a running log-magnitude per point; the doublings go on, for every point,
+    until each point has met the test or N >= cap."""
+    if np.count_nonzero(sigma <= 1.0):
+        raise ValueError(f"series truncation needs sigma > 1, got "
+                         f"{np.min(sigma)}")
     if eps_rel <= 0.0:
         raise ValueError(f"eps_rel must be positive, got {eps_rel}")
     log_eps = math.log(eps_rel)
     N = 16
-    mag = _partial_sum(k, sigma, 0.0, 2, N)
-    while True:
-        if _log_tail(N, k, sigma) <= log_eps + mag.log_abs():
-            return N, True
-        if N >= cap:
-            return N, False
-        mag = mag + _partial_sum(k, sigma, 0.0, N + 1, 2 * N)
+    mant, shift = _partial_sum(k, sigma, 0.0, 2, N)
+    log_mag = shift + np.log(mant)
+    cutoff = N
+    met = _log_tail(N, k, sigma) <= log_eps + log_mag
+    while np.count_nonzero(~met) and N < cap:
+        mant, shift = _partial_sum(k, sigma, 0.0, N + 1, 2 * N)
+        log_mag = np.logaddexp(log_mag, shift + np.log(mant))
         N *= 2
+        cutoff = np.where(met, cutoff, N)
+        met = met | (_log_tail(N, k, sigma) <= log_eps + log_mag)
+    return cutoff, met
 
 
 def choose_truncation(k: int, sigma: float, eps_rel: float,
@@ -161,7 +204,7 @@ def choose_truncation(k: int, sigma: float, eps_rel: float,
     """Smallest doubling cutoff N with certified tail <= eps_rel * sum of
     term magnitudes.  Capped at max_terms; the caller sees the bound actually
     achieved through EvalResult."""
-    return _cutoff(k, sigma, eps_rel, max_terms)[0]
+    return int(_cutoff(k, sigma, eps_rel, max_terms)[0])
 
 
 def series_is_practical(k: int, sigma: float, eps_rel: float) -> bool:
@@ -169,7 +212,19 @@ def series_is_practical(k: int, sigma: float, eps_rel: float) -> bool:
     terms."""
     if sigma <= 1.0 + DELTA_MIN:
         return False
-    return _cutoff(k, sigma, eps_rel, PRACTICAL_TERMS)[1]
+    return bool(_cutoff(k, sigma, eps_rel, PRACTICAL_TERMS)[1])
+
+
+def _check_domain(k: int, sigma_min: float) -> None:
+    """The guard of the series evaluators: k >= 0 and sigma > 1 + DELTA_MIN
+    at every point, sigma_min being the smallest real part."""
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
+    if sigma_min <= 1.0 + DELTA_MIN:
+        raise ValueError(
+            f"sigma={sigma_min} too close to 1 for the Dirichlet series; "
+            "use the continuation module for sigma <= "
+            f"{1.0 + DELTA_MIN}")
 
 
 def eval_deriv(s: ComplexPoint, k: int,
@@ -179,21 +234,47 @@ def eval_deriv(s: ComplexPoint, k: int,
     The certified error bound is the integral tail bound at the cutoff;
     rounding of individual mantissas (~1e-16 relative) is excluded.
     """
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
-    if s.sigma <= 1.0 + DELTA_MIN:
-        raise ValueError(
-            f"sigma={s.sigma} too close to 1 for the Dirichlet series; "
-            "use the continuation module for sigma <= "
-            f"{1.0 + DELTA_MIN}")
+    _check_domain(k, s.sigma)
     N = choose_truncation(k, s.sigma, eps_rel)
-    value = _partial_sum(k, s.sigma, s.t, 2, N)
+    mant, shift = _partial_sum(k, s.sigma, s.t, 2, N)
+    value = ScaledComplex.from_parts(mant, shift)
     if k == 0:
         value = value + ScaledComplex.one()  # the n = 1 term
     elif k % 2:
         value = -value
-    bound = ScaledComplex.from_polar(_log_tail(N, k, s.sigma), 0.0)
+    bound = ScaledComplex.from_polar(float(_log_tail(N, k, s.sigma)), 0.0)
     return EvalResult(value=value, abs_error_bound=bound, terms_used=N - 1)
+
+
+def eval_deriv_scaled(s: np.ndarray, k: int, log_scale: np.ndarray,
+                      eps_rel: float = DEFAULT_EPS_REL) -> np.ndarray:
+    """The k-th derivative at each point of the 1-D complex array s, divided
+    by e^log_scale (one entry per point), as plain complex values.
+
+    Each point is summed to the cutoff choose_truncation gives it, under the
+    same domain guard as eval_deriv.  Raises OverflowError when a scaled
+    value is not finite or below the normal float range, i.e. when
+    log_scale is far from the point's magnitude.
+    """
+    sigma, t = s.real, s.imag
+    _check_domain(k, float(sigma.min()))
+    cutoff = np.broadcast_to(_cutoff(k, sigma, eps_rel, MAX_TERMS)[0],
+                             sigma.shape)
+    out = np.empty(s.shape, dtype=complex)
+    for N in sorted(set(cutoff.tolist())):
+        group = cutoff == N
+        mant, shift = _partial_sum(k, sigma[group], t[group], 2, N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[group] = mant * np.exp(shift - log_scale[group])
+    if k == 0:
+        out += np.exp(-log_scale)  # the n = 1 term
+    elif k % 2:
+        out = -out
+    size = np.abs(out)
+    if not np.all((size >= np.finfo(float).tiny) & (size < math.inf)):
+        raise OverflowError(f"order-{k} series values out of float range "
+                            "after scaling; the scale is off their magnitude")
+    return out
 
 
 def tail_ratio_upper(m_start: int, k: int, sigma: float,

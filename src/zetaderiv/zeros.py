@@ -8,13 +8,15 @@ sign decisions untouched.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
-from .scaled import ScaledComplex
-from .series import (eval_deriv, head_ratio, log_term_mag,
+from .series import (eval_deriv, eval_deriv_scaled, head_ratio, log_term_mag,
                      tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
@@ -29,7 +31,9 @@ NEWTON_MAX_ITERS = 60
 SWEEP_INTERVALS = 256
 MAX_BISECT_DEPTH = 12
 
-Evaluator = Callable[[complex], ScaledComplex]
+# maps a 1-D complex array of points to their values, which may be scaled
+# by any positive real function of sigma
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 class ZeroOnContourError(Exception):
@@ -107,19 +111,21 @@ class _PhaseWalker:
         self.min_log = math.inf
         self.max_log = -math.inf
 
-    def probe(self, z: complex) -> ScaledComplex:
+    def probe(self, z: np.ndarray) -> list[complex]:
+        """Values at the points of z, from one evaluator call."""
         v = self.f(z)
-        self.samples += 1
-        if v.is_zero():
-            raise ZeroOnContourError(z)
-        la = v.log_abs()
-        self.min_log = min(self.min_log, la)
-        self.max_log = max(self.max_log, la)
-        return v
+        self.samples += z.size
+        zero = np.flatnonzero(v == 0)
+        if zero.size:
+            raise ZeroOnContourError(complex(z[zero[0]]))
+        la = np.log(np.abs(v))
+        self.min_log = min(self.min_log, float(la.min()))
+        self.max_log = max(self.max_log, float(la.max()))
+        return v.tolist()
 
-    def walk(self, za: complex, va: ScaledComplex, zb: complex,
-             vb: ScaledComplex, depth: int = MAX_SUBDIV_DEPTH) -> float:
-        d = _wrap(vb.arg() - va.arg())
+    def walk(self, za: complex, va: complex, zb: complex, vb: complex,
+             depth: int = MAX_SUBDIV_DEPTH) -> float:
+        d = _wrap(cmath.phase(vb) - cmath.phase(va))
         if abs(d) < HALF_PI:
             return d
         if depth == 0:
@@ -129,8 +135,9 @@ class _PhaseWalker:
                 f"subdivisions near {0.5 * (za + zb)}")
         self.refined = True
         zm = 0.5 * (za + zb)
-        vm = self.probe(zm)
-        if vm.log_abs() < max(va.log_abs(), vb.log_abs()) + REL_ZERO_FLOOR:
+        vm = self.probe(np.array([zm]))[0]
+        if math.log(abs(vm)) < max(math.log(abs(va)),
+                                   math.log(abs(vb))) + REL_ZERO_FLOOR:
             raise ZeroOnContourError(zm)
         return (self.walk(za, va, zm, vm, depth - 1)
                 + self.walk(zm, vm, zb, vb, depth - 1))
@@ -140,26 +147,27 @@ def winding_number(rect: Rect, evaluator: Evaluator,
                    sample_density: float = 0.0) -> WindingResult:
     """Zeros of the evaluator inside rect, by accumulated boundary phase.
 
-    Segments whose endpoint phases differ by >= pi/2 are bisected until the
-    jump resolves; failure to resolve, or a sample falling 10^-8 below its
-    neighbours, raises ZeroOnContourError.  The bisection cannot detect a
-    full phase turn hidden between two adjacent samples, so contours with
-    rapid argument variation should raise ``sample_density`` (samples per
-    unit of boundary length).
+    The evaluator maps a 1-D complex array of points to an array of values;
+    each edge's initial samples are one call, and each bisection probe is a
+    one-point call.  Segments whose endpoint phases differ by >= pi/2 are
+    bisected until the jump resolves; failure to resolve, or a sample
+    falling 10^-8 below its neighbours, raises ZeroOnContourError.  The
+    bisection cannot detect a full phase turn hidden between two adjacent
+    samples, so contours with rapid argument variation should raise
+    ``sample_density`` (samples per unit of boundary length).
     """
     walker = _PhaseWalker(evaluator)
     corners = rect.corners()
     total = 0.0
-    first_val: ScaledComplex | None = None
+    first_val: complex | None = None
     prev_z: complex | None = None
-    prev_v: ScaledComplex | None = None
+    prev_v: complex | None = None
     for edge in range(4):
         za, zb = corners[edge], corners[(edge + 1) % 4]
         n_edge = max(INIT_SAMPLES_PER_EDGE,
                      math.ceil(abs(zb - za) * sample_density))
-        for i in range(n_edge):
-            z = za + (zb - za) * (i / n_edge)
-            v = walker.probe(z)
+        zs = za + (zb - za) * (np.arange(n_edge) / n_edge)
+        for z, v in zip(zs.tolist(), walker.probe(zs)):
             if first_val is None:
                 first_val = v
             else:
@@ -187,14 +195,19 @@ def series_evaluator(k: int, M_ref: int | None = None) -> Evaluator:
 
     With M_ref fixed the scale is Q_{M_ref}(sigma); otherwise the dominant
     term at each sample's sigma.  Positive real rescaling leaves arguments,
-    and hence winding numbers, unchanged.
+    and hence winding numbers, unchanged.  An array of points is one call
+    into the series layer.
     """
 
-    def f(z: complex) -> ScaledComplex:
-        res = eval_deriv(ComplexPoint(z.real, z.imag), k)
-        n_ref = M_ref if M_ref is not None else dominant_index(z.real, k)
-        scale = ScaledComplex.from_polar(log_term_mag(n_ref, k, z.real), 0.0)
-        return res.value / scale
+    def f(z: np.ndarray) -> np.ndarray:
+        sigma = z.real
+        if M_ref is not None:
+            log_scale = log_term_mag(M_ref, k, sigma)
+        else:
+            log_scale = np.array([
+                log_term_mag(dominant_index(x, k), k, x)
+                for x in sigma.tolist()])
+        return eval_deriv_scaled(z, k, log_scale)
 
     return f
 

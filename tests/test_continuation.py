@@ -83,6 +83,21 @@ def test_cauchy_ring_fills_in_one_kernel_call_per_doubling(monkeypatch):
     assert sizes == [64, 64]
 
 
+def test_zeta_contour_samples_each_edge_in_one_kernel_call(monkeypatch):
+    kernel = continuation._zeta_em
+    sizes = []
+
+    def counting(s, eps):
+        sizes.append(s.size)
+        return kernel(s, eps)
+
+    monkeypatch.setattr(continuation, "_zeta_em", counting)
+    # zeros at t = 14.13, 21.02 and 25.01; eight samples per unit length
+    # give edges of 64 (sigma 0.05 to 1.05) and 240 (t 0.05 to 30) points
+    assert count_zeros_halfplane(0, 30.0, 0.05) == 3
+    assert [n for n in sizes if n != 1] == [64, 240, 64, 240]
+
+
 def test_eval_deriv_cauchy_unconverged_reports_last_difference():
     # eps = 1e-30 is below double precision, so the doubling stops at 4096
     # nodes without agreement; the estimate is then the last doubling

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetaderiv import series
 from zetaderiv.geometry import ComplexPoint, q_value
+from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (DELTA_MIN, MAX_TERMS, PRACTICAL_TERMS,
                               _partial_sum, choose_truncation, eval_deriv,
                               head, log_term_mag, series_is_practical,
@@ -96,8 +97,8 @@ def test_eval_deriv_domain_guard():
 
 def test_series_evaluator_near_unity_scale():
     sigma = q_value(2) * 800
-    v = series_evaluator(800, M_ref=2)(complex(sigma, 1.0))
-    assert -5.0 < v.log_abs() < 5.0
+    v = series_evaluator(800, M_ref=2)(np.array([complex(sigma, 1.0)]))[0]
+    assert -5.0 < math.log(abs(v)) < 5.0
 
 
 def _brute_tail(M, k, sigma, bound):
@@ -214,6 +215,50 @@ def test_cutoff_search_matches_resumming_oracle():
     assert choose_truncation(1, 1.2, 1e-10, max_terms=1000) == 1024
 
 
+def test_cutoff_over_an_array_matches_each_point():
+    # one search over many sigma per (k, eps): points that meet the test at
+    # different doublings, and points capped without meeting it
+    groups = {}
+    for k, sigma, eps in CUTOFF_POINTS:
+        groups.setdefault((k, eps), []).append(sigma)
+    groups[(1, 1e-10)] += [1.2, 1.5, 2.0, 2.5, 3.0]
+    for (k, eps), sigmas in groups.items():
+        for cap in (PRACTICAL_TERMS, 1000):
+            cutoff, met = series._cutoff(k, np.array(sigmas), eps, cap)
+            want = [series._cutoff(k, x, eps, cap) for x in sigmas]
+            assert np.broadcast_to(cutoff, len(sigmas)).tolist() == \
+                [int(n) for n, _ in want], (k, eps, cap)
+            assert met.tolist() == [bool(m) for _, m in want], (k, eps, cap)
+
+
+def test_partial_sum_in_pieces_matches_one_block(monkeypatch):
+    # a small CHUNK forces both splits: over the terms (ranges longer than
+    # CHUNK) and over the points (more rows than fit into CHUNK entries)
+    sigma = np.array([1.5, 2.0, 3.0, 7.0, 40.0])
+    t = np.array([0.0, 3.0, -20.0, 100.0, 1e3])
+    cases = [(0, 2, 1000), (3, 2, 300), (30, 17, 2000), (2, 5, 60)]
+    whole = [(_partial_sum(k, sigma, t, lo, hi),
+              _partial_sum(k, sigma, 0.0, lo, hi)) for k, lo, hi in cases]
+    monkeypatch.setattr(series, "CHUNK", 64)
+    for (k, lo, hi), ((want, shift), (mag, _)) in zip(cases, whole):
+        got, got_shift = _partial_sum(k, sigma, t, lo, hi)
+        assert got_shift.tolist() == shift.tolist()
+        assert np.all(np.abs(got - want) <= 1e-15 * mag)
+
+
+def test_eval_deriv_scaled_adds_the_unit_term_and_sign():
+    # k = 0 adds n = 1 and odd k flips the sign, as in eval_deriv
+    z = np.array([2.0 + 0.0j, 3.0 + 5.0j, 1.5 - 2.0j])
+    for k in (0, 1, 2):
+        got = series.eval_deriv_scaled(z, k, np.zeros(3))
+        want = [eval_deriv(ComplexPoint(p.real, p.imag), k).value.to_complex()
+                for p in z.tolist()]
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError):
+        series.eval_deriv_scaled(np.array([3.0, 1.0 + DELTA_MIN]), 1,
+                                 np.zeros(2))
+
+
 def test_series_is_practical_keeps_no_memory():
     assert not any(isinstance(v, np.ndarray) for v in vars(series).values())
     tracemalloc.start()
@@ -231,8 +276,9 @@ def test_partial_sum_real_path_matches_complex_path():
     for k, sigma, lo, hi in [(0, 2.0, 2, 1000), (3, 4.0, 2, 64),
                              (1, 1.5, 17, 4096),
                              (800, q_value(2) * 800, 2, 40)]:
-        real = _partial_sum(k, sigma, 0.0, lo, hi)
-        cplx = _partial_sum(k, sigma, 1e-300, lo, hi)
+        real = ScaledComplex.from_parts(*_partial_sum(k, sigma, 0.0, lo, hi))
+        cplx = ScaledComplex.from_parts(*_partial_sum(k, sigma, 1e-300, lo,
+                                                      hi))
         assert real.mantissa.imag == 0.0
         assert (real - cplx).log_abs() <= real.log_abs() + math.log(1e-15)
 

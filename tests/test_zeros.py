@@ -1,20 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from zetaderiv.geometry import ComplexPoint, cell, q_value, strip, wedge
+from zetaderiv.geometry import (ComplexPoint, cell, dominant_index, q_value,
+                                strip, wedge)
 from zetaderiv.scaled import ScaledComplex
-from zetaderiv.series import head_ratio, log_term_mag, tail_ratio_upper
-from zetaderiv.zeros import (Rect, ZeroOnContourError, cell_winding,
-                             enumerate_zeros, hline_margin, locate_zero,
-                             rouche_certificate, series_evaluator,
-                             winding_number)
+from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
+                              eval_deriv, head_ratio, log_term_mag,
+                              tail_ratio_upper)
+from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, Rect, ZeroOnContourError,
+                             cell_winding, enumerate_zeros, hline_margin,
+                             locate_zero, rouche_certificate,
+                             series_evaluator, winding_number)
 
 
 def _poly_evaluator(root: complex, power: int = 1):
-    def f(z: complex) -> ScaledComplex:
-        return ScaledComplex.from_complex((z - root) ** power)
+    def f(z: np.ndarray) -> np.ndarray:
+        return (z - root) ** power
     return f
 
 
@@ -40,6 +44,72 @@ def test_winding_zero_on_contour_detected():
         winding_number(Rect(0.0, 2.0, 0.0, 2.0), _poly_evaluator(1 + 0j))
 
 
+@pytest.mark.parametrize("density,n_edge", [
+    (0.0, INIT_SAMPLES_PER_EDGE), (50.0, 100)])
+def test_winding_samples_each_edge_in_one_call(density, n_edge):
+    # a zero of order 80: the phase turns about 2 radians between initial
+    # samples, so many segments are bisected
+    sizes = []
+    poly = _poly_evaluator(1 + 1j, power=80)
+
+    def counting(z):
+        sizes.append(z.size)
+        return poly(z)
+
+    res = winding_number(Rect(0.0, 2.0, 0.0, 2.0), counting, density)
+    assert res.count == 80 and res.refined
+    assert [n for n in sizes if n != 1] == [n_edge] * 4
+    assert sizes[0] == n_edge
+    assert sum(sizes) == res.samples
+    assert len(sizes) == 4 + res.samples - 4 * n_edge
+
+
+def _cell_points(M, k, j, n=16):
+    """n points on each edge of cell(M, k, j), corners included, and the
+    predicted zero."""
+    c = cell(M, k, j)
+    (s0, s1), (t0, t1) = c.sigma_range, c.t_range
+    u = np.linspace(0.0, 1.0, n)
+    return np.concatenate([s0 + (s1 - s0) * u + 1j * t0,
+                           s1 + 1j * (t0 + (t1 - t0) * u),
+                           s0 + (s1 - s0) * u + 1j * t1,
+                           s0 + 1j * (t0 + (t1 - t0) * u),
+                           [c.predicted_zero.to_complex()]])
+
+
+# cells at k from 38 to 10^5, the first and last strip at the two largest
+BATCH_CELLS = [(2, 38, 0), (3, 400, 7), (7, 1600, 32), (2, 10 ** 4, 3),
+               (20, 10 ** 4, 3), (2, 10 ** 5, 3), (52, 10 ** 5, 3)]
+
+
+@pytest.mark.parametrize("M,k,j", BATCH_CELLS)
+@pytest.mark.parametrize("fixed", [True, False])
+def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, fixed):
+    z = _cell_points(M, k, j)
+    got = series_evaluator(k, M_ref=M if fixed else None)(z)
+    assert got.shape == z.shape
+    for p, value in zip(z.tolist(), got.tolist()):
+        n_ref = M if fixed else dominant_index(p.real, k)
+        scale = ScaledComplex.from_polar(log_term_mag(n_ref, k, p.real), 0.0)
+        want = (eval_deriv(ComplexPoint(p.real, p.imag), k).value
+                / scale).to_complex()
+        assert abs(value - want) <= 1e-15 * k * abs(want)
+    # the batched search gives each point the cutoff it gets on its own
+    cutoff, met = _cutoff(k, z.real, 1e-12, MAX_TERMS)
+    want = [choose_truncation(k, x, 1e-12) for x in z.real.tolist()]
+    assert np.broadcast_to(cutoff, z.shape).tolist() == want
+    assert np.all(met)
+
+
+def test_off_strip_scale_raises_instead_of_overflowing():
+    # normalizing by Q_2 inside strip S_40 at k = 10^5 puts the values
+    # hundreds of orders of magnitude beyond the float range
+    z = _cell_points(40, 10 ** 5, 3, n=4)
+    with pytest.raises(OverflowError):
+        series_evaluator(10 ** 5, M_ref=2)(z)
+    assert np.all(np.isfinite(series_evaluator(10 ** 5, M_ref=40)(z)))
+
+
 def test_winding_scaling_invariance():
     # multiplying by any positive real function of sigma keeps the count
     base = series_evaluator(38, M_ref=2)
@@ -51,7 +121,7 @@ def test_winding_scaling_invariance():
                 lambda s: 1.0 / (1.0 + s * s)]
     for g in scalings:
         def scaled(z, g=g):
-            return base(z) * g(z.real)
+            return base(z) * np.array([g(x) for x in z.real])
         assert winding_number(rect, scaled).count == want
 
 

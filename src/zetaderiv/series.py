@@ -80,10 +80,13 @@ def head(M: int, k: int, s: ComplexPoint) -> ScaledComplex:
     return ScaledComplex.from_parts(mant, shift)
 
 
-def head_ratio(M: int, k: float, sigma: float) -> float:
-    """H_M(sigma) / Q_M(sigma), an exact positive sum; zero for M = 2."""
-    h = head(M, k, ComplexPoint(sigma, 0.0))
-    return math.exp(h.log_abs() - log_term_mag(M, k, sigma))
+def head_ratio(M: int, k: float, sigma):
+    """H_M(sigma) / Q_M(sigma), an exact positive sum, at a float sigma or
+    at each point of an array; zero for M = 2."""
+    if M == 2:
+        return 0.0 * sigma
+    mant, shift = _partial_sum(k, sigma, 0.0, 2, M - 1)
+    return mant * np.exp(shift - log_term_mag(M, k, sigma))
 
 
 def _partial_sum(k: int, sigma, t, n_lo: int, n_hi: int):
@@ -172,21 +175,21 @@ def tail_monotonicity_conditions(M: int, a1: float, b1: float,
     return True
 
 
-def _cutoff(k: int, sigma, eps_rel: float, cap: int):
+def _cutoff(k: int, sigma, eps_rel: float, cap: int, n_lo: int = 2):
     """At a float sigma, or at each point of a 1-D array: the smallest
-    doubling cutoff N from 16 on whose certified tail is at most
-    eps_rel * sum_{n=2}^N Q_n(sigma), or the first N >= cap; and whether
-    that N meets the test.  Each doubling adds only the new terms (N, 2N] to
-    a running log-magnitude per point; the doublings go on, for every point,
-    until each point has met the test or N >= cap."""
+    doubling cutoff N from n_lo + 14 on whose certified tail is at most
+    eps_rel * sum_{n=n_lo}^N Q_n(sigma), or the first N >= cap; whether that
+    N meets the test; the log of that sum to the last N searched, and that
+    N.  Each doubling adds only the new terms (N, 2N] to a running
+    log-magnitude per point, until every point meets the test or N >= cap."""
     if np.count_nonzero(sigma <= 1.0):
         raise ValueError(f"series truncation needs sigma > 1, got "
                          f"{np.min(sigma)}")
     if eps_rel <= 0.0:
         raise ValueError(f"eps_rel must be positive, got {eps_rel}")
     log_eps = math.log(eps_rel)
-    N = 16
-    mant, shift = _partial_sum(k, sigma, 0.0, 2, N)
+    N = n_lo + 14
+    mant, shift = _partial_sum(k, sigma, 0.0, n_lo, N)
     log_mag = shift + np.log(mant)
     cutoff = N
     met = _log_tail(N, k, sigma) <= log_eps + log_mag
@@ -196,7 +199,7 @@ def _cutoff(k: int, sigma, eps_rel: float, cap: int):
         N *= 2
         cutoff = np.where(met, cutoff, N)
         met = met | (_log_tail(N, k, sigma) <= log_eps + log_mag)
-    return cutoff, met
+    return cutoff, met, log_mag, N
 
 
 def choose_truncation(k: int, sigma: float, eps_rel: float,
@@ -277,25 +280,31 @@ def eval_deriv_scaled(s: np.ndarray, k: int, log_scale: np.ndarray,
     return out
 
 
-def tail_ratio_upper(m_start: int, k: int, sigma: float,
-                     log_ref: float) -> float:
-    """Certified upper bound on sum_{n>=m_start} Q_n(sigma) / e^log_ref.
+def rounding_allowance(N, k: float, sigma, log_ref):
+    """rho = 4u (k (|log log N| + 1) + sigma log N + |log_ref| + log2 N + 2),
+    u = 2^-53: the relative rounding allowance of a computed sum of
+    Q_n(sigma) / e^log_ref over n in [2, N] or part of it.  With log and exp
+    good to about an ulp, each exponent k log log n - sigma log n (n <= N)
+    errs by a few u times its parts, at most k (|log log N| + 1) + sigma
+    log N ("+ 1" for log n's own error), and so does its term relatively;
+    log_ref adds about u |log_ref|, and a pairwise sum of N positive terms
+    about u log2 N (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 4).  4u covers these first-order terms together."""
+    return 4.0 * 2.0 ** -53 * (k * (np.abs(np.log(np.log(N))) + 1.0)
+                               + sigma * np.log(N) + np.abs(log_ref)
+                               + np.log2(N) + 2.0)
 
-    Sums exact terms until the integral bound anchored at the current index
-    is both valid and negligible, then closes with it.  Anchoring deeper than
-    m_start is what keeps the bound tight near the lower wedge tips, where
-    R_{m_start} itself is close to or above 1.
-    """
-    if sigma <= 1.0:
-        raise ValueError(f"tail bound needs sigma > 1, got {sigma}")
-    total = 0.0
-    n = m_start
-    while True:
-        q_n = math.exp(log_term_mag(n, k, sigma) - log_ref)
-        if (sigma - 1.0) * math.log(n) > k - 1.0:
-            closing = q_n * _tail_R(n, k, sigma)
-            if closing <= TAIL_REL_CUT * max(total + q_n, q_n) \
-                    or n - m_start >= TAIL_MAX_EXACT:
-                return total + q_n + closing
-        total += q_n
-        n += 1
+
+def tail_ratio_upper(m_start: int, k: int, sigma, log_ref):
+    """Certified upper bound on sum_{n>=m_start} Q_n(sigma) / e^log_ref, at
+    a float sigma or at each point of an array: the cutoff search from
+    m_start (cut TAIL_REL_CUT, cap m_start + TAIL_MAX_EXACT) closed by the
+    integral bound at its last N (inf where never valid), rounded up by
+    rounding_allowance and by the smallest normal float (for tails that
+    underflow).  Anchoring the bound deeper than m_start keeps it tight near
+    the lower wedge tips, where R_{m_start} is close to or above 1."""
+    cutoff, _, log_sum, N = _cutoff(k, sigma, TAIL_REL_CUT,
+                                    m_start + TAIL_MAX_EXACT, n_lo=m_start)
+    total = np.exp(np.logaddexp(log_sum, _log_tail(N, k, sigma)) - log_ref)
+    return (total * (1.0 + rounding_allowance(cutoff, k, sigma, log_ref))
+            + np.finfo(float).tiny)

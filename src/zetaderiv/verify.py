@@ -169,7 +169,7 @@ def _line_zero_count(M: int, k: int) -> int:
     t_hi = LINE_PERIODS * TWO_PI / delta
     rect = Rect(sigma_mid - LINE_HALF_WIDTH, sigma_mid + LINE_HALF_WIDTH,
                 0.05, t_hi)
-    return winding_number(rect, series_evaluator(k)).count
+    return winding_number(rect, series_evaluator(k, M_ref=M)).count
 
 
 def verify_remark_tables(max_M: int = 5) -> list[ConstantCheck]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
 from .series import (eval_deriv, eval_deriv_scaled, head_ratio, log_term_mag,
-                     tail_ratio_upper)
+                     rounding_allowance, tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
@@ -190,24 +190,13 @@ def winding_number(rect: Rect, evaluator: Evaluator,
     )
 
 
-def series_evaluator(k: int, M_ref: int | None = None) -> Evaluator:
-    """Dirichlet-series evaluator normalized by a positive real scale.
-
-    With M_ref fixed the scale is Q_{M_ref}(sigma); otherwise the dominant
-    term at each sample's sigma.  Positive real rescaling leaves arguments,
-    and hence winding numbers, unchanged.  An array of points is one call
-    into the series layer.
-    """
+def series_evaluator(k: int, M_ref: int) -> Evaluator:
+    """Dirichlet-series evaluator divided by the positive real
+    Q_{M_ref}(sigma), which leaves arguments and winding numbers unchanged;
+    one series-layer call per array of points."""
 
     def f(z: np.ndarray) -> np.ndarray:
-        sigma = z.real
-        if M_ref is not None:
-            log_scale = log_term_mag(M_ref, k, sigma)
-        else:
-            log_scale = np.array([
-                log_term_mag(dominant_index(x, k), k, x)
-                for x in sigma.tolist()])
-        return eval_deriv_scaled(z, k, log_scale)
+        return eval_deriv_scaled(z, k, log_term_mag(M_ref, k, z.real))
 
     return f
 
@@ -224,67 +213,69 @@ def cell_winding(M: int, k: int, j: int) -> WindingResult:
 # boundary certificates
 
 
-def _terms(M: int, k: int, sigma: float) -> tuple[float, float, float]:
-    """Q_{M+1}/Q_M, H_M/Q_M and a certified bound on T_{M+1}/Q_M (the tail
-    from M+2 on), all at sigma."""
+def _terms(M: int, k: int, sigma):
+    """At a float sigma or at each point of an array: r = Q_{M+1}/Q_M, its
+    rounding allowance dr, H_M/Q_M rounded up and a certified bound on
+    T_{M+1}/Q_M (the tail from M+2 on)."""
     log_q = log_term_mag(M, k, sigma)
-    return (math.exp(log_term_mag(M + 1, k, sigma) - log_q),
-            head_ratio(M, k, sigma),
+    r = np.exp(log_term_mag(M + 1, k, sigma) - log_q)
+    h = head_ratio(M, k, sigma)
+    h = h + h * rounding_allowance(M, k, sigma, log_q) + np.finfo(float).tiny
+    return (r, r * rounding_allowance(M + 1, k, sigma, log_q), h,
             tail_ratio_upper(M + 2, k, sigma, log_q))
 
 
-def _sweep(M: int, k: int, c: CellRect, coef: float
-           ) -> tuple[float, Optional[float], list]:
+def _sweep(M: int, k: int, c: CellRect, coef: float):
     """Certified lower bound of coef*(1 + r) - H - tail over the cell's
     sigma-range, with r = Q_{M+1}/Q_M and everything normalized by Q_M.
 
-    In sigma, r and the tail decrease while the head increases, so with the
-    tail bound taken at a, coef*(1 + r(b)) - H(b) - tail(a) bounds the
-    function from below on [a, b] -- no Lipschitz constant needed.  The
-    range is cut into SWEEP_INTERVALS intervals, and only those whose bound
-    is not positive are bisected, to depth MAX_BISECT_DEPTH.
-    Returns the bound, the sigma where bisection gave up (None if it never
-    did) and the (sigma, terms) nodes of the grid.
-    """
+    In sigma, r and the tail decrease and the head increases, so on [a, b]
+    coef*(1 + r(b) - dr(b)) - H(b) - tail(a) bounds it from below.  The
+    SWEEP_INTERVALS + 1 nodes are one _terms call over an array; intervals
+    whose bound is not positive are bisected to depth MAX_BISECT_DEPTH, one
+    _terms call per midpoint.  Returns the bound, the sigma where bisection
+    gave up (None if it never did) and the nodes' terms."""
     s_lo, s_hi = c.sigma_range
-    xs = [s_lo + (s_hi - s_lo) * i / SWEEP_INTERVALS
-          for i in range(SWEEP_INTERVALS)] + [s_hi]
-    nodes = [(x, _terms(M, k, x)) for x in xs]
+    xs = np.append(s_lo + (s_hi - s_lo) * np.arange(SWEEP_INTERVALS)
+                   / SWEEP_INTERVALS, s_hi)
+    terms = _terms(M, k, xs)
 
-    def piece(a, b, depth):
-        return a, b, depth, coef * (1.0 + b[1][0]) - b[1][1] - a[1][2]
+    def node(sigma, r, dr, h, tail):  # the bound's parts at b and at a
+        return sigma, coef * (1.0 + r - dr) - h, tail
 
-    stack = [piece(a, b, 0) for a, b in zip(nodes, nodes[1:])]
+    nodes = list(zip(*(a.tolist() for a in node(xs, *terms))))
+    stack = [(a, b, 0) for a, b in zip(nodes, nodes[1:])]
     best = math.inf
     while stack:
-        a, b, depth, lb = stack.pop()
+        a, b, depth = stack.pop()
+        lb = b[1] - a[2]
         if lb > 0.0:
             best = min(best, lb)
         elif depth >= MAX_BISECT_DEPTH:
-            best = min([best, lb] + [p[3] for p in stack])
-            return best, 0.5 * (a[0] + b[0]), nodes
+            best = min([best, lb] + [q[1] - p[2] for p, q, _ in stack])
+            return best, 0.5 * (a[0] + b[0]), terms
         else:
             sigma = 0.5 * (a[0] + b[0])
-            m = (sigma, _terms(M, k, sigma))
-            stack += [piece(a, m, depth + 1), piece(m, b, depth + 1)]
-    return best, None, nodes
+            m = node(sigma, *_terms(M, k, sigma))
+            stack += [(a, m, depth + 1), (m, b, depth + 1)]
+    return best, None, terms
 
 
 def rouche_certificate(M: int, k: int, j: int) -> RoucheCertificate:
     """Certify |zeta^(k) - (Q_M + Q_{M+1})| < |Q_M + Q_{M+1}| on the cell
     boundary, which pins the interior zero count to that of Q_M + Q_{M+1}.
 
-    Vertical edges minimize the comparator in closed form (|1 - r| over a
-    full period of the phase).  On both horizontal edges cos(t*delta) = 1,
+    Vertical edges minimize the comparator in closed form (|1 - r| - dr over
+    a full period of the phase).  On both horizontal edges cos(t*delta) = 1,
     so they are one sweep of the sigma-range.  min_gap is a certified lower
     bound over the whole boundary and is the same for every cell j.
     """
     c = cell(M, k, j)
     t_lo, t_hi = c.t_range
-    min_gap, line_failure, nodes = _sweep(M, k, c, 1.0)
+    min_gap, line_failure, (r, dr, h, tail) = _sweep(M, k, c, 1.0)
     failure: Optional[ComplexPoint] = None
-    for sigma, (r, h, tail) in (nodes[0], nodes[-1]):
-        gap = abs(1.0 - r) - h - tail
+    for i, sigma in ((0, c.sigma_range[0]), (-1, c.sigma_range[1])):
+        gap = float(abs(1.0 - r[i]) - dr[i] - h[i] - tail[i])
         min_gap = min(min_gap, gap)
         if gap <= 0.0 and failure is None:
             failure = ComplexPoint(sigma, 0.5 * (t_lo + t_hi))

@@ -215,9 +215,9 @@ def test_criterion_07_zero_free_wedges():
     bad_rects = 0
     for k in (38, 100):
         spans = _wedge_spans(k)
-        evaluator = series_evaluator(k)
         for i in range(10):
             M, lo, hi = spans[i % len(spans)]
+            evaluator = series_evaluator(k, M_ref=M)
             a = rng.uniform(lo, hi - 0.5)
             b = rng.uniform(a + 0.3, min(a + 6.0, hi))
             t0 = rng.uniform(0.3, 20.0)

@@ -224,8 +224,8 @@ def test_cutoff_over_an_array_matches_each_point():
     groups[(1, 1e-10)] += [1.2, 1.5, 2.0, 2.5, 3.0]
     for (k, eps), sigmas in groups.items():
         for cap in (PRACTICAL_TERMS, 1000):
-            cutoff, met = series._cutoff(k, np.array(sigmas), eps, cap)
-            want = [series._cutoff(k, x, eps, cap) for x in sigmas]
+            cutoff, met = series._cutoff(k, np.array(sigmas), eps, cap)[:2]
+            want = [series._cutoff(k, x, eps, cap)[:2] for x in sigmas]
             assert np.broadcast_to(cutoff, len(sigmas)).tolist() == \
                 [int(n) for n, _ in want], (k, eps, cap)
             assert met.tolist() == [bool(m) for _, m in want], (k, eps, cap)
@@ -291,6 +291,34 @@ def test_tail_ratio_upper_bounds_brute():
         brute = sum(math.exp(log_term_mag(n, k, sigma) - log_ref)
                     for n in range(m0, 5000))
         assert brute <= got <= brute * 1.01 + 1e-15
+
+
+def test_tail_and_head_over_an_array_match_each_point():
+    # the certificate sweeps' grids, and the wedge-tip points of verify
+    cases = [(2, 38, 38.0, 48.0), (3, 100, 75.0, 85.0),
+             (7, 1600, 520.0, 545.0), (20, 10 ** 4, 3290.0, 3360.0),
+             (52, 10 ** 5, 25240.0, 25350.0), (4, 71, 60.0, 70.0)]
+    for M, k, lo, hi in cases:
+        sigma = np.linspace(lo, hi, 33)
+        log_q = log_term_mag(M, k, sigma)
+        tails = tail_ratio_upper(M + 2, k, sigma, log_q)
+        heads = series.head_ratio(M, k, sigma)
+        for x, lq, t, h in zip(sigma.tolist(), log_q.tolist(), tails, heads):
+            assert t == pytest.approx(tail_ratio_upper(M + 2, k, x, lq),
+                                      rel=1e-12, abs=0.0)
+            assert h == pytest.approx(series.head_ratio(M, k, x),
+                                      rel=1e-12, abs=0.0)
+
+
+def test_tail_ratio_upper_returns_inf_where_the_bound_never_holds():
+    # k - 1 < (sigma - 1) log N needs N > e^198 here: the search stops at its
+    # cap and the tail is inf.  The former term-by-term loop checked its cap
+    # only once the integral bound was valid, so it never returned.
+    sigma = np.array([1.5, 80.0])
+    got = tail_ratio_upper(4, 100, sigma, log_term_mag(4, 100, sigma))
+    assert got[0] == math.inf and math.isfinite(got[1])
+    assert tail_ratio_upper(4, 100, 1.5, log_term_mag(4, 100, 1.5)) \
+        == math.inf
 
 
 @settings(max_examples=60, deadline=None)

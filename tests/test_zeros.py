@@ -1,11 +1,12 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from zetaderiv.geometry import (ComplexPoint, cell, dominant_index, q_value,
-                                strip, wedge)
+from zetaderiv import zeros
+from zetaderiv.geometry import ComplexPoint, cell, q_value, strip, wedge
 from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
                               eval_deriv, head_ratio, log_term_mag,
@@ -83,19 +84,20 @@ BATCH_CELLS = [(2, 38, 0), (3, 400, 7), (7, 1600, 32), (2, 10 ** 4, 3),
 
 
 @pytest.mark.parametrize("M,k,j", BATCH_CELLS)
-@pytest.mark.parametrize("fixed", [True, False])
-def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, fixed):
+@pytest.mark.parametrize("own_term", [True, False])
+def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, own_term):
+    # scaled by the cell's own Q_M, or by its neighbour Q_{M+1}
     z = _cell_points(M, k, j)
-    got = series_evaluator(k, M_ref=M if fixed else None)(z)
+    M_ref = M if own_term else M + 1
+    got = series_evaluator(k, M_ref=M_ref)(z)
     assert got.shape == z.shape
     for p, value in zip(z.tolist(), got.tolist()):
-        n_ref = M if fixed else dominant_index(p.real, k)
-        scale = ScaledComplex.from_polar(log_term_mag(n_ref, k, p.real), 0.0)
+        scale = ScaledComplex.from_polar(log_term_mag(M_ref, k, p.real), 0.0)
         want = (eval_deriv(ComplexPoint(p.real, p.imag), k).value
                 / scale).to_complex()
         assert abs(value - want) <= 1e-15 * k * abs(want)
     # the batched search gives each point the cutoff it gets on its own
-    cutoff, met = _cutoff(k, z.real, 1e-12, MAX_TERMS)
+    cutoff, met = _cutoff(k, z.real, 1e-12, MAX_TERMS)[:2]
     want = [choose_truncation(k, x, 1e-12) for x in z.real.tolist()]
     assert np.broadcast_to(cutoff, z.shape).tolist() == want
     assert np.all(met)
@@ -134,7 +136,8 @@ def test_wedge_interior_winding_zero():
     w = wedge(2)
     k = 38
     lo = w.sigma_left(k) + 0.5
-    res = winding_number(Rect(lo, lo + 5.0, 1.0, 9.0), series_evaluator(k))
+    res = winding_number(Rect(lo, lo + 5.0, 1.0, 9.0),
+                         series_evaluator(k, M_ref=2))
     assert res.count == 0
 
 
@@ -201,6 +204,62 @@ def test_certificates_bound_dense_minimum(M, k, j):
     for got, dense in ((cert.min_gap, gap_min), (margin, margin_min)):
         assert got <= dense
         assert dense - got <= 1e-3 * abs(dense)
+
+
+def _mp_terms(M: int, k: int, sigma: float):
+    """r = Q_{M+1}/Q_M, H_M/Q_M and T_{M+1}/Q_M at 40 digits; the tail is
+    summed until a term falls below 1e-45 of the sum."""
+    with mp.workdps(40):
+        s = mp.mpf(sigma)
+
+        def q(n):
+            return mp.exp(k * (mp.log(mp.log(n)) - mp.log(mp.log(M)))
+                          - s * (mp.log(n) - mp.log(M)))
+
+        tail, n = mp.mpf(0), M + 2
+        while n <= 3 * M or q(n) >= tail * mp.mpf(10) ** -45:
+            tail += q(n)
+            n += 1
+        return q(M + 1), mp.fsum(q(n) for n in range(2, M)), tail
+
+
+# the high-k strips where the unrounded terms fell on the unsafe side
+@pytest.mark.parametrize("M,k", [(20, 10 ** 4), (30, 10 ** 5), (52, 10 ** 5)])
+def test_certificate_terms_on_the_safe_side_of_mpmath(M, k):
+    lo, hi = cell(M, k, 0).sigma_range
+    xs = np.append(lo + (hi - lo) * np.arange(256) / 256, hi)[::16]
+    batched = zeros._terms(M, k, xs)
+    for i, sigma in enumerate(xs.tolist()):
+        r_true, h_true, tail_true = _mp_terms(M, k, sigma)
+        for r, dr, h, tail in (zeros._terms(M, k, sigma),
+                               [a[i] for a in batched]):
+            assert r - dr <= r_true <= r + dr, sigma
+            assert h >= h_true and tail >= tail_true, sigma
+
+
+def test_rouche_certificate_sums_its_tails_in_one_array_call(monkeypatch):
+    calls = []
+
+    def counting(m_start, k, sigma, log_ref):
+        calls.append(np.size(sigma) if isinstance(sigma, np.ndarray)
+                     else sigma)
+        return tail_ratio_upper(m_start, k, sigma, log_ref)
+
+    monkeypatch.setattr(zeros, "tail_ratio_upper", counting)
+    cert = rouche_certificate(52, 10 ** 5, 3)
+    assert cert.holds and calls == [zeros.SWEEP_INTERVALS + 1]
+    calls.clear()
+    margin = hline_margin(52, 10 ** 5, 3)
+    assert margin > 0.0 and calls == [zeros.SWEEP_INTERVALS + 1]
+    # one interval is too coarse for the line margin: its bisection adds a
+    # one-point call per midpoint, and the bound stays below the fine one
+    calls.clear()
+    monkeypatch.setattr(zeros, "SWEEP_INTERVALS", 1)
+    coarse = hline_margin(52, 10 ** 5, 3)
+    assert calls[0] == 2 and len(calls) > 1
+    midpoints = [x for x in calls[1:] if isinstance(x, float)]
+    assert len(midpoints) == len(set(midpoints)) == len(calls) - 1
+    assert 0.0 < coarse <= margin
 
 
 def test_certificates_same_for_every_cell_of_a_strip():

@@ -6,19 +6,20 @@ from .geometry import (CellRect, ComplexPoint, QConstant, StripSpec,
 from .scaled import ScaledComplex
 from .series import (EvalResult, TailBound, eval_deriv, head, tail_bound,
                      term)
-from .zeros import (Rect, RoucheCertificate, WindingResult, ZeroRecord,
-                    ZeroOnContourError, enumerate_zeros, hline_margin,
-                    locate_zero, rouche_certificate, winding_number)
+from .zeros import (Rect, RoucheCertificate, StripCertificate, WindingResult,
+                    ZeroRecord, ZeroOnContourError, enumerate_zeros,
+                    hline_margin, locate_zero, rouche_certificate,
+                    strip_certificate, winding_number)
 
 __all__ = [
     "CellRect", "ComplexPoint", "QConstant", "StripSpec", "WedgeSpec",
     "ScaledComplex", "EvalResult", "TailBound", "Rect", "RoucheCertificate",
-    "WindingResult", "ZeroRecord", "ZeroOnContourError",
+    "StripCertificate", "WindingResult", "ZeroRecord", "ZeroOnContourError",
     "cell", "count_strips", "layout", "dominant_index", "q_bracket",
     "q_const", "q_value", "strip", "wedge", "eval_deriv", "head",
     "tail_bound", "term",
     "enumerate_zeros", "hline_margin", "locate_zero", "rouche_certificate",
-    "winding_number",
+    "strip_certificate", "winding_number",
 ]
 
 __version__ = "0.1.0"

@@ -53,7 +53,8 @@ class TailBound:
 
 
 def log_term_mag(n: int, k: int, sigma: float) -> float:
-    """log of Q_n^k(sigma) = (log n)^k / n^sigma, for n >= 2."""
+    """log of Q_n^k(sigma) = (log n)^k / n^sigma, for n >= 2; at a complex
+    s, the log of the term (log n)^k n^(-s)."""
     return k * math.log(math.log(n)) - sigma * math.log(n)
 
 
@@ -234,8 +235,10 @@ def eval_deriv(s: ComplexPoint, k: int,
                eps_rel: float = DEFAULT_EPS_REL) -> EvalResult:
     """Value of the k-th zeta derivative at s, sigma > 1 + DELTA_MIN.
 
-    The certified error bound is the integral tail bound at the cutoff;
-    rounding of individual mantissas (~1e-16 relative) is excluded.
+    The certified error bound is the integral tail bound at the cutoff.  It
+    leaves out rounding: through its exponent each term errs by up to
+    rounding_allowance relative, far above 1e-16 at high k (3.9e-11 against
+    40-digit mpmath at k = 10^5).
     """
     _check_domain(k, s.sigma)
     N = choose_truncation(k, s.sigma, eps_rel)
@@ -252,12 +255,13 @@ def eval_deriv(s: ComplexPoint, k: int,
 def eval_deriv_scaled(s: np.ndarray, k: int, log_scale: np.ndarray,
                       eps_rel: float = DEFAULT_EPS_REL) -> np.ndarray:
     """The k-th derivative at each point of the 1-D complex array s, divided
-    by e^log_scale (one entry per point), as plain complex values.
+    by e^log_scale (one real or complex entry per point), as plain complex
+    values.
 
     Each point is summed to the cutoff choose_truncation gives it, under the
     same domain guard as eval_deriv.  Raises OverflowError when a scaled
-    value is not finite or below the normal float range, i.e. when
-    log_scale is far from the point's magnitude.
+    value is not finite or below the normal float range, i.e. when the real
+    part of log_scale is far from the log of the point's magnitude.
     """
     sigma, t = s.real, s.imag
     _check_domain(k, float(sigma.min()))

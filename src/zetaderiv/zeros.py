@@ -2,9 +2,10 @@
 
 The counting tool is the argument principle with adaptive phase tracking.
 Certificates compare the two crossing terms Q_M + Q_{M+1} against the exact
-head and a certified tail bound along cell boundaries; everything is carried
-normalized by the positive real Q_M(sigma), which leaves winding numbers and
-sign decisions untouched.
+head and a certified tail bound along cell boundaries, normalized by the
+positive real Q_M(sigma).  Strip contours divide the k-th derivative by the
+complex dominant term Q_M(s) = (log M)^k M^(-s), which is entire and has no
+zeros, so winding numbers are untouched and only the fast phase M^(-it) goes.
 """
 from __future__ import annotations
 
@@ -27,12 +28,14 @@ REL_ZERO_FLOOR = math.log(1e-8)
 MAX_SUBDIV_DEPTH = 48
 INIT_SAMPLES_PER_EDGE = 64
 NEWTON_MAX_ITERS = 60
-# certificate sweeps: sigma intervals per cell, and bisection depth of each
+# Newton stops once its step is below this
+NEWTON_TOL = 1e-12
+# sigma intervals of a strip certificate
 SWEEP_INTERVALS = 256
-MAX_BISECT_DEPTH = 12
 
-# maps a 1-D complex array of points to their values, which may be scaled
-# by any positive real function of sigma
+# maps a 1-D complex array of points to their values, which may be divided
+# by any positive real function of sigma or any analytic function without
+# zeros
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
@@ -86,6 +89,13 @@ class ZeroRecord:
     simplicity_margin: float
     newton_iters: int
     predicted: ComplexPoint
+
+
+@dataclass(frozen=True)
+class StripCertificate:
+    min_gap: float
+    line_margin: float
+    failure_sigma: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -191,12 +201,13 @@ def winding_number(rect: Rect, evaluator: Evaluator,
 
 
 def series_evaluator(k: int, M_ref: int) -> Evaluator:
-    """Dirichlet-series evaluator divided by the positive real
-    Q_{M_ref}(sigma), which leaves arguments and winding numbers unchanged;
-    one series-layer call per array of points."""
+    """Dirichlet-series evaluator divided by the complex dominant term
+    Q_{M_ref}(s) = (log M_ref)^k M_ref^(-s), which has no zeros and so
+    leaves winding numbers unchanged; one series-layer call per array of
+    points."""
 
     def f(z: np.ndarray) -> np.ndarray:
-        return eval_deriv_scaled(z, k, log_term_mag(M_ref, k, z.real))
+        return eval_deriv_scaled(z, k, log_term_mag(M_ref, k, z))
 
     return f
 
@@ -225,90 +236,74 @@ def _terms(M: int, k: int, sigma):
             tail_ratio_upper(M + 2, k, sigma, log_q))
 
 
-def _sweep(M: int, k: int, c: CellRect, coef: float):
-    """Certified lower bound of coef*(1 + r) - H - tail over the cell's
-    sigma-range, with r = Q_{M+1}/Q_M and everything normalized by Q_M.
+def strip_certificate(M: int, k: int) -> StripCertificate:
+    """Certified lower bounds over every cell boundary of strip S_M,
+    normalized by Q_M: the Rouche gap |Q_M + Q_{M+1}| - H_M - tail, and the
+    line margin (1/sqrt 2)(Q_M + Q_{M+1}) - H_M - tail on the cell lines.
 
-    In sigma, r and the tail decrease and the head increases, so on [a, b]
-    coef*(1 + r(b) - dr(b)) - H(b) - tail(a) bounds it from below.  The
-    SWEEP_INTERVALS + 1 nodes are one _terms call over an array; intervals
-    whose bound is not positive are bisected to depth MAX_BISECT_DEPTH, one
-    _terms call per midpoint.  Returns the bound, the sigma where bisection
-    gave up (None if it never did) and the nodes' terms."""
-    s_lo, s_hi = c.sigma_range
+    On the cell lines cos(t*delta) = 1, and in sigma r = Q_{M+1}/Q_M and the
+    tail decrease while the head increases, so on each interval [a, b] of the
+    sigma-range c*(1 + r(b) - dr(b)) - H(b) - tail(a) is a lower bound (c = 1
+    for the gap, 1/sqrt 2 for the margin).  The vertical edges minimize the
+    gap in closed form, |1 - r| - dr - H - tail over a period of the phase.
+    The SWEEP_INTERVALS + 1 nodes are one _terms call.  failure_sigma is the
+    sigma of the first gap bound not > 0 (so NaN fails): a vertical edge's,
+    checked first, else the failing interval's midpoint; None if none fails.
+    """
+    s_lo, s_hi = cell(M, k, 0).sigma_range
     xs = np.append(s_lo + (s_hi - s_lo) * np.arange(SWEEP_INTERVALS)
                    / SWEEP_INTERVALS, s_hi)
-    terms = _terms(M, k, xs)
-
-    def node(sigma, r, dr, h, tail):  # the bound's parts at b and at a
-        return sigma, coef * (1.0 + r - dr) - h, tail
-
-    nodes = list(zip(*(a.tolist() for a in node(xs, *terms))))
-    stack = [(a, b, 0) for a, b in zip(nodes, nodes[1:])]
-    best = math.inf
-    while stack:
-        a, b, depth = stack.pop()
-        lb = b[1] - a[2]
-        if lb > 0.0:
-            best = min(best, lb)
-        elif depth >= MAX_BISECT_DEPTH:
-            best = min([best, lb] + [q[1] - p[2] for p, q, _ in stack])
-            return best, 0.5 * (a[0] + b[0]), terms
-        else:
-            sigma = 0.5 * (a[0] + b[0])
-            m = node(sigma, *_terms(M, k, sigma))
-            stack += [(a, m, depth + 1), (m, b, depth + 1)]
-    return best, None, terms
+    r, dr, h, tail = _terms(M, k, xs)
+    line = 1.0 + r[1:] - dr[1:]
+    ends = [0, -1]
+    gaps = np.concatenate([np.abs(1.0 - r[ends]) - dr[ends] - h[ends]
+                           - tail[ends], line - h[1:] - tail[:-1]])
+    sigmas = np.concatenate([xs[ends], 0.5 * (xs[:-1] + xs[1:])])
+    margin = 1.0 / math.sqrt(2.0) * line - h[1:] - tail[:-1]
+    fails = np.flatnonzero(~(gaps > 0.0))
+    return StripCertificate(
+        min_gap=float(gaps.min()), line_margin=float(margin.min()),
+        failure_sigma=float(sigmas[fails[0]]) if fails.size else None)
 
 
 def rouche_certificate(M: int, k: int, j: int) -> RoucheCertificate:
     """Certify |zeta^(k) - (Q_M + Q_{M+1})| < |Q_M + Q_{M+1}| on the cell
-    boundary, which pins the interior zero count to that of Q_M + Q_{M+1}.
-
-    Vertical edges minimize the comparator in closed form (|1 - r| - dr over
-    a full period of the phase).  On both horizontal edges cos(t*delta) = 1,
-    so they are one sweep of the sigma-range.  min_gap is a certified lower
-    bound over the whole boundary and is the same for every cell j.
-    """
+    boundary, which pins the interior zero count to that of Q_M + Q_{M+1};
+    strip_certificate's gap.  A failure on a vertical edge is reported at
+    mid-cell height, one on the cell lines at t_lo."""
     c = cell(M, k, j)
-    t_lo, t_hi = c.t_range
-    min_gap, line_failure, (r, dr, h, tail) = _sweep(M, k, c, 1.0)
+    cert = strip_certificate(M, k)
     failure: Optional[ComplexPoint] = None
-    for i, sigma in ((0, c.sigma_range[0]), (-1, c.sigma_range[1])):
-        gap = float(abs(1.0 - r[i]) - dr[i] - h[i] - tail[i])
-        min_gap = min(min_gap, gap)
-        if gap <= 0.0 and failure is None:
-            failure = ComplexPoint(sigma, 0.5 * (t_lo + t_hi))
-    if failure is None and line_failure is not None:
-        failure = ComplexPoint(line_failure, t_lo)
-    return RoucheCertificate(cell=c, min_gap=min_gap,
+    if cert.failure_sigma is not None:
+        t_lo, t_hi = c.t_range
+        on_edge = cert.failure_sigma in c.sigma_range
+        failure = ComplexPoint(cert.failure_sigma,
+                               0.5 * (t_lo + t_hi) if on_edge else t_lo)
+    return RoucheCertificate(cell=c, min_gap=cert.min_gap,
                              samples_per_edge=SWEEP_INTERVALS,
-                             holds=failure is None and min_gap > 0.0,
-                             failure_point=failure)
+                             holds=failure is None, failure_point=failure)
 
 
 def hline_margin(M: int, k: int, j: int) -> float:
-    """Certified lower bound over the cell line t = 2*pi*j/delta of
-    (1/sqrt 2)(Q_M + Q_{M+1}) - H_M - tail, normalized by Q_M; the same for
-    every cell j of the strip.
-
-    A positive value certifies the k-th derivative has no zero on that
-    horizontal segment; a negative one is a finding to report, not an error.
-    """
-    return _sweep(M, k, cell(M, k, j), 1.0 / math.sqrt(2.0))[0]
+    """strip_certificate's line margin.  A positive value certifies the k-th
+    derivative has no zero on the cell line t = 2*pi*j/delta; a negative one
+    is a finding to report, not an error."""
+    cell(M, k, j)  # rejects a negative j and a missing strip
+    return strip_certificate(M, k).line_margin
 
 
 # ---------------------------------------------------------------------------
 # localization
 
 
-def _normalized_residual(s: ComplexPoint, k: int) -> float:
-    res = eval_deriv(s, k)
-    ref = log_term_mag(dominant_index(s.sigma, k), k, s.sigma)
+def _normalized_modulus(s: ComplexPoint, order: int) -> float:
+    """|zeta^(order)(s)| / Q_n(sigma), n being the dominant index at s."""
+    res = eval_deriv(s, order)
+    ref = log_term_mag(dominant_index(s.sigma, order), order, s.sigma)
     return math.exp(res.value.log_abs() - ref)
 
 
-def _newton_from(start: complex, k: int, tol: float,
+def _newton_from(start: complex, k: int,
                  c: CellRect) -> tuple[complex, int] | None:
     """Newton on the k-th derivative; None if the iterate escapes the cell
     twice or fails to converge."""
@@ -329,7 +324,7 @@ def _newton_from(start: complex, k: int, tol: float,
                 min(max(z.real, c.sigma_range[0] + 1e-9),
                     c.sigma_range[1] - 1e-9),
                 min(max(z.imag, c.t_range[0] + 1e-9), c.t_range[1] - 1e-9))
-        if abs(step) < tol:
+        if abs(step) < NEWTON_TOL:
             return z, it
     return None
 
@@ -343,12 +338,12 @@ def _quadrants(rect: Rect) -> list[Rect]:
             Rect(sm, rect.sigma_hi, tm, rect.t_hi)]
 
 
-def locate_zero(M: int, k: int, j: int, tol: float = 1e-12) -> ZeroRecord:
+def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
     """Refine the predicted cell zero by Newton; quadrisect by winding and
     restart if Newton wanders out of the cell."""
     c = cell(M, k, j)
     start = c.predicted_zero.to_complex()
-    result = _newton_from(start, k, tol, c)
+    result = _newton_from(start, k, c)
     if result is None:
         evaluator = series_evaluator(k, M_ref=M)
         rect = Rect(c.sigma_range[0], c.sigma_range[1],
@@ -364,7 +359,7 @@ def locate_zero(M: int, k: int, j: int, tol: float = 1e-12) -> ZeroRecord:
             rect = sub
             center = complex(0.5 * (rect.sigma_lo + rect.sigma_hi),
                              0.5 * (rect.t_lo + rect.t_hi))
-            result = _newton_from(center, k, tol, c)
+            result = _newton_from(center, k, c)
             if result is not None:
                 break
     if result is None:
@@ -372,21 +367,17 @@ def locate_zero(M: int, k: int, j: int, tol: float = 1e-12) -> ZeroRecord:
             start, f"no convergence in cell (M={M}, k={k}, j={j})")
     z, iters = result
     loc = ComplexPoint(z.real, z.imag)
-    fp = eval_deriv(loc, k + 1)
-    margin = math.exp(fp.value.log_abs()
-                      - log_term_mag(dominant_index(z.real, k + 1), k + 1,
-                                     z.real))
+    margin = _normalized_modulus(loc, k + 1)
     return ZeroRecord(
         location=loc, M=M, k=k, j=j,
-        residual=_normalized_residual(loc, k),
+        residual=_normalized_modulus(loc, k),
         simplicity_margin=margin,
         newton_iters=iters,
         predicted=c.predicted_zero,
     )
 
 
-def enumerate_zeros(M: int, k: int, T: float,
-                    tol: float = 1e-12) -> tuple[list[ZeroRecord], int]:
+def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     """All strip-S_M zeros of the k-th derivative with 0 < t <= T, plus the
     count N at height T."""
     if T <= 0.0:
@@ -394,6 +385,6 @@ def enumerate_zeros(M: int, k: int, T: float,
     c0 = cell(M, k, 0)
     delta = c0.strip.delta
     j_max = math.ceil(T * delta / TWO_PI)
-    located = [locate_zero(M, k, j, tol) for j in range(j_max)]
+    located = [locate_zero(M, k, j) for j in range(j_max)]
     records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

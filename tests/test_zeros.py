@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from zetaderiv import zeros
-from zetaderiv.geometry import ComplexPoint, cell, q_value, strip, wedge
+from zetaderiv.geometry import (ComplexPoint, cell, layout, q_value, strip,
+                                wedge)
 from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
                               eval_deriv, head_ratio, log_term_mag,
@@ -14,7 +15,8 @@ from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
 from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, Rect, ZeroOnContourError,
                              cell_winding, enumerate_zeros, hline_margin,
                              locate_zero, rouche_certificate,
-                             series_evaluator, winding_number)
+                             series_evaluator, strip_certificate,
+                             winding_number)
 
 
 def _poly_evaluator(root: complex, power: int = 1):
@@ -86,13 +88,14 @@ BATCH_CELLS = [(2, 38, 0), (3, 400, 7), (7, 1600, 32), (2, 10 ** 4, 3),
 @pytest.mark.parametrize("M,k,j", BATCH_CELLS)
 @pytest.mark.parametrize("own_term", [True, False])
 def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, own_term):
-    # scaled by the cell's own Q_M, or by its neighbour Q_{M+1}
+    # divided by the cell's own complex Q_M(s), or by its neighbour Q_{M+1}
     z = _cell_points(M, k, j)
     M_ref = M if own_term else M + 1
     got = series_evaluator(k, M_ref=M_ref)(z)
     assert got.shape == z.shape
     for p, value in zip(z.tolist(), got.tolist()):
-        scale = ScaledComplex.from_polar(log_term_mag(M_ref, k, p.real), 0.0)
+        scale = ScaledComplex.from_polar(log_term_mag(M_ref, k, p.real),
+                                         -p.imag * math.log(M_ref))
         want = (eval_deriv(ComplexPoint(p.real, p.imag), k).value
                 / scale).to_complex()
         assert abs(value - want) <= 1e-15 * k * abs(want)
@@ -130,6 +133,17 @@ def test_winding_scaling_invariance():
 def test_cell_winding_counts_one():
     assert cell_winding(2, 38, 0).count == 1
     assert cell_winding(3, 100, 2).count == 1
+
+
+def test_cell_winding_counts_one_in_every_strip_at_k_1e5():
+    # dividing by the real Q_M(sigma) left the phase M^(-it) on the vertical
+    # edges, about 20 rad between samples at M = 52, and miscounted here
+    k = 10 ** 5
+    strips = layout(k)[1]
+    assert len(strips) == 51
+    for sp in strips:
+        for j in (0, 3):
+            assert cell_winding(sp.M, k, j).count == 1, (sp.M, j)
 
 
 def test_wedge_interior_winding_zero():
@@ -251,24 +265,53 @@ def test_rouche_certificate_sums_its_tails_in_one_array_call(monkeypatch):
     calls.clear()
     margin = hline_margin(52, 10 ** 5, 3)
     assert margin > 0.0 and calls == [zeros.SWEEP_INTERVALS + 1]
-    # one interval is too coarse for the line margin: its bisection adds a
-    # one-point call per midpoint, and the bound stays below the fine one
-    calls.clear()
+    # one interval is one 2-point call, and nothing refines its coarser
+    # bounds, which may then fail to be positive
     monkeypatch.setattr(zeros, "SWEEP_INTERVALS", 1)
-    coarse = hline_margin(52, 10 ** 5, 3)
-    assert calls[0] == 2 and len(calls) > 1
-    midpoints = [x for x in calls[1:] if isinstance(x, float)]
-    assert len(midpoints) == len(set(midpoints)) == len(calls) - 1
-    assert 0.0 < coarse <= margin
+    calls.clear()
+    coarse = rouche_certificate(52, 10 ** 5, 3)
+    assert calls == [2] and coarse.min_gap <= cert.min_gap
+    calls.clear()
+    assert hline_margin(52, 10 ** 5, 3) <= margin and calls == [2]
+
+
+@pytest.mark.parametrize("part,node,value,on_edge", [
+    ("h", 100, math.inf, False),      # one interior interval fails
+    ("tail", 0, math.inf, True),      # the left end node fails
+    ("tail", -1, math.nan, True)])    # a NaN tail at the right end node
+def test_rouche_certificate_reports_a_failing_bound(monkeypatch, part, node,
+                                                     value, on_edge):
+    real_terms = zeros._terms
+
+    def broken(M, k, sigma):
+        terms = dict(zip(("r", "dr", "h", "tail"), real_terms(M, k, sigma)))
+        terms[part] = terms[part].copy()
+        terms[part][node] = value
+        return tuple(terms.values())
+
+    monkeypatch.setattr(zeros, "_terms", broken)
+    cert = rouche_certificate(3, 400, 5)
+    (s_lo, s_hi), (t_lo, t_hi) = cert.cell.sigma_range, cert.cell.t_range
+    n = zeros.SWEEP_INTERVALS
+    xs = np.append(s_lo + (s_hi - s_lo) * np.arange(n) / n, s_hi)
+    assert cert.holds is False
+    if on_edge:
+        want = ComplexPoint(float(xs[node]), 0.5 * (t_lo + t_hi))
+    else:  # the interval [node - 1, node], whose head is taken at node
+        want = ComplexPoint(0.5 * float(xs[node - 1] + xs[node]), t_lo)
+    assert cert.failure_point == want
+    assert strip_certificate(3, 400).failure_sigma == want.sigma
 
 
 def test_certificates_same_for_every_cell_of_a_strip():
     gaps = {rouche_certificate(3, 400, j).min_gap for j in (0, 1, 7, 39, 200)}
     margins = {hline_margin(3, 400, j) for j in (0, 1, 7, 39, 200)}
-    assert len(gaps) == 1 and len(margins) == 1
+    cert = strip_certificate(3, 400)
+    assert gaps == {cert.min_gap} and margins == {cert.line_margin}
+    assert cert.failure_sigma is None
 
 def test_locate_zero_k38():
-    rec = locate_zero(2, 38, 0, 1e-12)
+    rec = locate_zero(2, 38, 0)
     assert abs(rec.location.sigma - 43.16) < 0.3
     assert abs(rec.location.t - 7.7475) < 0.2
     assert rec.residual < 1e-10
@@ -287,7 +330,7 @@ def test_locate_zero_convergence_to_line():
 
 
 def test_locate_zero_m3():
-    rec = locate_zero(3, 100, 0, 1e-12)
+    rec = locate_zero(3, 100, 0)
     c = cell(3, 100, 0)
     assert c.contains(rec.location.sigma, rec.location.t)
     assert rec.simplicity_margin > 0.0

@@ -1,8 +1,11 @@
-"""Zeta for sigma > 0 via Euler-Maclaurin, and derivatives by Cauchy circles.
+"""zeta^(k) for sigma > 0 via Euler-Maclaurin, and Cauchy-circle derivatives.
 
-One Euler-Maclaurin kernel evaluates zeta over an array of points. A Cauchy
-ring is filled in one vectorized pass, and each node doubling evaluates only
-the new nodes, in one more pass; a contour edge of zeta is one pass too.
+One Euler-Maclaurin kernel evaluates zeta^(k) over an array of points, each
+term of the formula differentiated k times in closed form; a contour edge of
+the half-plane counts is one pass, for every k.  The Cauchy circles serve
+`zetaderiv eval` and cross-check the series: a ring is filled in one
+vectorized pass of the kernel, and each node doubling evaluates only the new
+nodes, in one more pass.
 
 Error control here is heuristic (last-correction-term magnitude, node-doubling
 agreement), not certified; anything that needs certified bounds goes through
@@ -47,33 +50,52 @@ _R = np.arange(1, MAX_BERNOULLI_TERMS + 1)
 _EM_COEF = np.array([_B[2 * r] / math.factorial(2 * r) for r in _R])
 
 
-def _zeta_em_raw(s: np.ndarray, N: int,
-                 eps: float) -> tuple[np.ndarray, float]:
-    """Euler-Maclaurin zeta values at the points of the 1-D array s with
+def _zeta_em_raw(s: np.ndarray, N: int, eps: float,
+                 k: int = 0) -> tuple[np.ndarray, float]:
+    """Euler-Maclaurin zeta^(k) values at the points of the 1-D array s with
     cutoff N, and the largest magnitude of the last correction term used.
 
-    Corrections are added up to the first r whose term is at most eps/100
-    at every point, or up to MAX_BERNOULLI_TERMS.
+    Each term g(s) N^(a-s) of the formula is differentiated k times by
+    Leibniz's rule: its k-th derivative is N^(a-s) sum_j w_j g_j(s), with
+    w_j = C(k, j) j! (-log N)^(k-j) and g_j the j-th Taylor coefficient of g
+    at s.  Corrections are added up to the first r whose term is at most
+    eps/100 at every point, or up to MAX_BERNOULLI_TERMS.
     """
-    acc = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N)))).sum(axis=1)
+    log_n = np.log(np.arange(1, N))
+    acc = (np.exp(-np.multiply.outer(s, log_n)) * (-log_n) ** k).sum(axis=1)
+    w = [math.perm(k, j) * (-math.log(N)) ** (k - j) for j in range(k + 1)]
     ninv = np.exp(-s * math.log(N))
-    acc += ninv * N / (s - 1.0)
-    acc += 0.5 * ninv
+    # 1/(s-1) has Taylor coefficients u^j/(s-1), u = 1/(1-s): Horner in u
+    u, pole = 1.0 / (1.0 - s), w[k]
+    for wj in reversed(w[:k]):
+        pole = pole * u + wj
+    acc += ninv * N / (s - 1.0) * pole
+    acc += 0.5 * w[0] * ninv
     # column r-1 holds s(s+1)...(s+2r-2)
-    poly = np.cumprod(np.add.outer(s, np.arange(2 * MAX_BERNOULLI_TERMS - 1)),
-                      axis=1)[:, ::2]
-    terms = _EM_COEF * poly * np.multiply.outer(ninv,
-                                                float(N) ** (1 - 2 * _R))
+    shifted = np.add.outer(s, np.arange(2 * MAX_BERNOULLI_TERMS - 1))
+    poly = np.cumprod(shifted, axis=1)[:, ::2]
+    # column m of q is the h^j coefficient of (s+h)_m/(s)_m, m = 0..49:
+    # q_j(m+1) = q_j(m) + q_(j-1)(m)/(s+m); taylor = sum_j w_j q_j(2r-1)
+    q, taylor = np.ones((s.size, 2 * MAX_BERNOULLI_TERMS), complex), w[0]
+    for wj in w[1:]:
+        q[:, 1:] = np.cumsum(q[:, :-1] / shifted, axis=1)
+        q[:, 0] = 0.0
+        taylor = taylor + wj * q[:, 1::2]
+    terms = _EM_COEF * poly * taylor * np.multiply.outer(
+        ninv, float(N) ** (1 - 2 * _R))
     largest = np.abs(terms).max(axis=0)
     small = np.flatnonzero(largest <= eps * 0.01)
     used = small[0] + 1 if small.size else MAX_BERNOULLI_TERMS
     return acc + terms[:, :used].sum(axis=1), float(largest[used - 1])
 
 
-def _zeta_em(s: np.ndarray, eps: float) -> tuple[np.ndarray, int, float]:
-    """zeta at each point of s (sigma > 0, s != 1): the values, the cutoff N
-    shared by all points and taken from the largest |t|, and the error
-    estimate."""
+def _zeta_em(s: np.ndarray, eps: float,
+             k: int = 0) -> tuple[np.ndarray, int, float]:
+    """zeta^(k) at each point of s (sigma > 0, s != 1): the values, the
+    cutoff N shared by all points and taken from the largest |t|, and the
+    error estimate."""
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
     if np.count_nonzero(s.real <= 0.0):
         raise ValueError(f"Euler-Maclaurin evaluation needs sigma > 0, "
                          f"got {float(s.real.min())}")
@@ -81,12 +103,12 @@ def _zeta_em(s: np.ndarray, eps: float) -> tuple[np.ndarray, int, float]:
         raise ValueError("zeta has its pole at s = 1")
     t_max = float(np.abs(s.imag).max())
     N = max(10, math.ceil(1.3 * t_max / (2.0 * math.pi)) + 10)
-    value, est = _zeta_em_raw(s, N, eps)
+    value, est = _zeta_em_raw(s, N, eps, k)
     for _ in range(4):
         if est <= eps:
             break
         N *= 2
-        value, est = _zeta_em_raw(s, N, eps)
+        value, est = _zeta_em_raw(s, N, eps, k)
     return value, N, est
 
 
@@ -147,19 +169,9 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int,
 
 
 def _evaluator_for(k: int, eps: float):
-    """Contour evaluator for count_zeros_halfplane: zeta over a whole array
-    of points in one Euler-Maclaurin call for k = 0, one Cauchy circle per
-    point for k >= 1."""
-    if k == 0:
-        def f(z: np.ndarray) -> np.ndarray:
-            return _zeta_em(z, eps)[0]
-    else:
-        def f(z: np.ndarray) -> np.ndarray:
-            return np.array([
-                eval_deriv_cauchy(ComplexPoint(p.real, p.imag), k,
-                                  eps).value.to_complex()
-                for p in z.tolist()])
-    return f
+    """Contour evaluator for count_zeros_halfplane: zeta^(k) over a whole
+    array of points in one Euler-Maclaurin call, for every k."""
+    return lambda z: _zeta_em(z, eps, k)[0]
 
 
 def count_zeros_halfplane(k: int, T: float, sigma_min: float,
@@ -168,8 +180,9 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     """Winding-number count of zeros of the k-th derivative with
     sigma_min <= sigma <= sigma_max and t_min < t <= T.
 
-    The contour is retried with T shifted by +0.05 (up to 5 times) if it
-    passes too close to a zero.
+    Each edge of the contour is one call of the Euler-Maclaurin kernel for
+    zeta^(k), whose error control is heuristic.  The contour is retried with
+    T shifted by +0.05 (up to 5 times) if it passes too close to a zero.
     """
     from .zeros import Rect, ZeroOnContourError, winding_number
 

@@ -316,12 +316,14 @@ def test_criterion_12_extreme_k():
 def test_criterion_13_berndt():
     ok = True
     details = []
-    for T in (50.0, 100.0):
-        n1 = count_zeros_halfplane(1, T, 0.05)
+    for T in (50.0, 100.0, 200.0):
         n0 = count_zeros_halfplane(0, T, 0.05)
-        disc = abs(n1 - (n0 - T / (2 * math.pi) * math.log(2.0)))
-        details.append(f"T={T:g}: |disc| = {disc:.2f} vs {2 * math.log(T):.2f}")
-        ok = ok and disc <= 2.0 * math.log(T)
+        for k in (1, 2, 3):
+            nk = count_zeros_halfplane(k, T, 0.05)
+            disc = abs(nk - (n0 - T / (2 * math.pi) * math.log(2.0)))
+            details.append(f"k={k}, T={T:g}: |disc| = {disc:.2f} vs "
+                           f"{2 * math.log(T):.2f}")
+            ok = ok and disc <= 2.0 * math.log(T)
     _report(13, ok, "zero-count main term matches (" + "; ".join(details)
                     + ")")
 

@@ -61,20 +61,27 @@ def test_eval_zeta_em_guards():
 @pytest.mark.parametrize("sigma,t,k", [
     (1.5, 2.0, 1), (0.7, 20.0, 2), (2.0, 0.0, 1), (2.0, 0.0, 3),
     (0.5, 30.0, 1),
-] + list(itertools.product(HALFPLANE_SIGMAS, HALFPLANE_TS, (1, 2, 3))))
+] + list(itertools.product(HALFPLANE_SIGMAS, HALFPLANE_TS, (1, 2, 3)))
+  # the corner (0.05, 200) of the half-plane counts, and |s - 1| = 0.05
+  + [(0.05, 200.0, k) for k in (1, 2, 3)]
+  + [(1.03, 0.04, k) for k in (1, 2, 3)])
 def test_eval_deriv_cauchy_matches_mpmath(sigma, t, k):
+    # both routes to zeta^(k): the Cauchy circle and the differentiated
+    # Euler-Maclaurin kernel
     res = eval_deriv_cauchy(ComplexPoint(sigma, t), k, 1e-10)
+    kernel = continuation._zeta_em(np.array([complex(sigma, t)]), 1e-10, k)
     want = complex(mp.diff(mp.zeta, complex(sigma, t), k))
     assert res.value.to_complex() == pytest.approx(want, rel=1e-8, abs=1e-10)
+    assert complex(kernel[0][0]) == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
 def test_cauchy_ring_fills_in_one_kernel_call_per_doubling(monkeypatch):
     kernel = continuation._zeta_em
     sizes = []
 
-    def counting(s, eps):
+    def counting(s, eps, k=0):
         sizes.append(s.size)
-        return kernel(s, eps)
+        return kernel(s, eps, k)
 
     monkeypatch.setattr(continuation, "_zeta_em", counting)
     res = eval_deriv_cauchy(ComplexPoint(1.5, 2.0), 1, 1e-10)
@@ -87,15 +94,22 @@ def test_zeta_contour_samples_each_edge_in_one_kernel_call(monkeypatch):
     kernel = continuation._zeta_em
     sizes = []
 
-    def counting(s, eps):
+    def counting(s, eps, k=0):
         sizes.append(s.size)
-        return kernel(s, eps)
+        return kernel(s, eps, k)
+
+    def no_circle(*args):
+        raise AssertionError("a Cauchy circle in a half-plane count")
 
     monkeypatch.setattr(continuation, "_zeta_em", counting)
-    # zeros at t = 14.13, 21.02 and 25.01; eight samples per unit length
-    # give edges of 64 (sigma 0.05 to 1.05) and 240 (t 0.05 to 30) points
-    assert count_zeros_halfplane(0, 30.0, 0.05) == 3
-    assert [n for n in sizes if n != 1] == [64, 240, 64, 240]
+    monkeypatch.setattr(continuation, "eval_deriv_cauchy", no_circle)
+    # zeros of zeta at t = 14.13, 21.02 and 25.01, of zeta' at t = 23.3;
+    # eight samples per unit length, at least 64, give edges of 64 (sigma
+    # 0.05 to 1.05, or to 2.99) and 240 (t 0.05 to 30) points
+    for k, count in ((0, 3), (1, 1)):
+        sizes.clear()
+        assert count_zeros_halfplane(k, 30.0, 0.05) == count
+        assert [n for n in sizes if n != 1] == [64, 240, 64, 240]
 
 
 def test_eval_deriv_cauchy_unconverged_reports_last_difference():
@@ -121,6 +135,20 @@ def test_zero_count_zeta_up_to_50():
 
 def test_zero_count_zeta_up_to_100():
     assert count_zeros_halfplane(0, 100.0, 0.05) == 29
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_count_derivatives_pinned(k):
+    # N_k(T) for T = 50, 100, 200, as the Cauchy-circle evaluator counted
+    for T, count in ((50.0, 5), (100.0, 19), (200.0, 58)):
+        assert count_zeros_halfplane(k, T, 0.05) == count, T
+
+
+def test_negative_order_raises():
+    with pytest.raises(ValueError):
+        count_zeros_halfplane(-1, 30.0, 0.05, sigma_max=2.0)
+    with pytest.raises(ValueError):
+        continuation._zeta_em(np.array([2.0 + 1.0j]), 1e-10, -1)
 
 
 def test_zero_count_needs_sigma_max_for_high_k():

@@ -213,23 +213,9 @@ def choose_truncation(k: int, sigma: float, eps_rel: float,
 
 def series_is_practical(k: int, sigma: float, eps_rel: float) -> bool:
     """Whether the series can certify eps_rel with at most PRACTICAL_TERMS
-    terms.  No term is summed when, at every cutoff N = 16, 32, ... that
-    _cutoff would visit, the tail is above eps_rel times twice a bound on
-    every partial sum S_N: then no S_N meets the test, and the factor 2
-    keeps rounding from flipping it."""
+    terms."""
     if sigma <= 1.0 + DELTA_MIN:
         return False
-    if k >= 0 and eps_rel > 0.0:
-        # S_N <= the largest term, at n = e^(k/sigma), plus
-        # int_1^inf (log x)^k x^-sigma dx = k!/(sigma-1)^(k+1)
-        reach = math.log(2.0 * eps_rel) + np.logaddexp(
-            k * (math.log(k / sigma) - 1.0) if k else 0.0,
-            math.lgamma(k + 1.0) - (k + 1) * math.log(sigma - 1.0))
-        N = 16
-        while _log_tail(N, k, sigma) > reach:
-            if N >= PRACTICAL_TERMS:
-                return False
-            N *= 2
     return bool(_cutoff(k, sigma, eps_rel, PRACTICAL_TERMS)[1])
 
 

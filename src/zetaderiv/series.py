@@ -58,19 +58,6 @@ def log_term_mag(n: int, k: int, sigma: float) -> float:
     return k * math.log(math.log(n)) - sigma * math.log(n)
 
 
-def term(n: int, k: int, s: ComplexPoint) -> ScaledComplex:
-    """Single series term (log n)^k * n^(-s) as a scaled complex."""
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
-    if n < 1:
-        raise ValueError(f"term index must be >= 1, got {n}")
-    if n == 1:
-        return ScaledComplex.one() if k == 0 else ScaledComplex.zero()
-    ln = math.log(n)
-    return ScaledComplex.from_polar(k * math.log(ln) - s.sigma * ln,
-                                    -s.t * ln)
-
-
 def head(M: int, k: int, s: ComplexPoint) -> ScaledComplex:
     """Head H_M = sum_{n=2}^{M-1} Q_n(s); empty (zero) for M = 2."""
     if M < 2:

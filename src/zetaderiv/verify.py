@@ -16,7 +16,7 @@ from .zeros import Rect, series_evaluator, winding_number
 
 EQ_TOL = 1e-12
 # remark scan: half-width of the box around the mid-wedge line, its height
-# in strip periods, and how far the scan reaches on each side of the claim
+# in strip periods, and how far the scan reaches above the claim
 LINE_HALF_WIDTH = 0.5 * LOG3
 LINE_PERIODS = 3.0
 SCAN_SPAN = 8
@@ -161,8 +161,9 @@ def verify_head_bound() -> list[ConstantCheck]:
 
 
 def _line_zero_count(M: int, k: int) -> int:
-    """Zeros of the k-th derivative in a thin box around the mid-wedge line
-    of wedge M, up to LINE_PERIODS strip periods in height."""
+    """Zeros of the k-th derivative in the box sigma_mid +- (1/2) log 3,
+    0.05 < t <= LINE_PERIODS periods 2*pi/delta of strip S_{M-1}, around the
+    mid-wedge line sigma_mid of wedge M."""
     w = wedge(M)
     sigma_mid = 0.5 * (w.sigma_left(k) + w.sigma_right(k))
     delta = math.log(M) - math.log(M - 1)  # strip S_{M-1} spacing
@@ -175,7 +176,7 @@ def _line_zero_count(M: int, k: int) -> int:
 def verify_remark_tables(max_M: int = 5) -> list[ConstantCheck]:
     """The two closing-table rows: wedge-tip ceilings recomputed from the
     closed form, and the lowest zero-free k on mid-wedge lines found by a
-    winding scan around the claimed value.
+    winding scan from the claimed value (_online_scan).
 
     The tip ceilings for M = 7..10 come out one higher than the published
     row (the exact tips lie just above the printed integers); those entries
@@ -189,19 +190,26 @@ def verify_remark_tables(max_M: int = 5) -> list[ConstantCheck]:
     for M, claimed in ONLINE_TABLE.items():
         if M > max_M:
             continue
-        found = None
-        k_lo = max(3, claimed - SCAN_SPAN)
-        prev_count = None
-        for k in range(k_lo, claimed + SCAN_SPAN + 1):
-            n = _line_zero_count(M, k)
-            if n == 0 and (prev_count is None or prev_count > 0):
-                found = k
-                break
-            prev_count = n
         checks.append(_check(f"remark.online_M{M}", float(claimed),
-                             float(found) if found is not None else math.nan,
-                             '=within', 0.0))
+                             _online_scan(M, claimed), '=within', 0.0))
     return checks
+
+
+def _online_scan(M: int, claimed: int) -> float:
+    """The k just above the highest nonzero _line_zero_count(M, k) near the
+    claim: scanned downward from the claim while the count is 0, or, if the
+    count at the claim is nonzero, upward for up to SCAN_SPAN steps.  NaN if
+    the downward scan reaches k = 3, or the upward one its end, without the
+    count changing."""
+    if _line_zero_count(M, claimed) == 0:
+        for k in range(claimed - 1, 2, -1):
+            if _line_zero_count(M, k) != 0:
+                return float(k + 1)
+        return math.nan
+    for k in range(claimed + 1, claimed + SCAN_SPAN + 1):
+        if _line_zero_count(M, k) == 0:
+            return float(k)
+    return math.nan
 
 
 SUITES = {

@@ -1,6 +1,7 @@
 """Contour zero counting, boundary certificates, and zero localization.
 
-The counting tool is the argument principle with adaptive phase tracking.
+The counting tool is the argument principle over one closed array of
+boundary samples, refined in rounds that bisect every large phase jump.
 Certificates compare the two crossing terms Q_M + Q_{M+1} against the exact
 head and a certified tail bound along cell boundaries, normalized by the
 positive real Q_M(sigma).  Strip contours divide the k-th derivative by the
@@ -9,7 +10,6 @@ zeros, so winding numbers are untouched and only the fast phase M^(-it) goes.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -107,83 +107,58 @@ class RoucheCertificate:
     failure_point: Optional[ComplexPoint] = None
 
 
-def _wrap(phase: float) -> float:
-    return (phase + math.pi) % TWO_PI - math.pi
-
-
-class _PhaseWalker:
-    """Accumulates the argument change of an evaluator along segments."""
-
-    def __init__(self, evaluator: Evaluator):
-        self.f = evaluator
-        self.samples = 0
-        self.refined = False
-        self.min_log = math.inf
-        self.max_log = -math.inf
-
-    def probe(self, z: np.ndarray) -> list[complex]:
-        """Values at the points of z, from one evaluator call."""
-        v = self.f(z)
-        self.samples += z.size
-        zero = np.flatnonzero(v == 0)
-        if zero.size:
-            raise ZeroOnContourError(complex(z[zero[0]]))
-        la = np.log(np.abs(v))
-        self.min_log = min(self.min_log, float(la.min()))
-        self.max_log = max(self.max_log, float(la.max()))
-        return v.tolist()
-
-    def walk(self, za: complex, va: complex, zb: complex, vb: complex,
-             depth: int = MAX_SUBDIV_DEPTH) -> float:
-        d = _wrap(cmath.phase(vb) - cmath.phase(va))
-        if abs(d) < HALF_PI:
-            return d
-        if depth == 0:
-            raise ZeroOnContourError(
-                0.5 * (za + zb),
-                f"phase jump stays >= pi/2 after {MAX_SUBDIV_DEPTH} "
-                f"subdivisions near {0.5 * (za + zb)}")
-        self.refined = True
-        zm = 0.5 * (za + zb)
-        vm = self.probe(np.array([zm]))[0]
-        if math.log(abs(vm)) < max(math.log(abs(va)),
-                                   math.log(abs(vb))) + REL_ZERO_FLOOR:
-            raise ZeroOnContourError(zm)
-        return (self.walk(za, va, zm, vm, depth - 1)
-                + self.walk(zm, vm, zb, vb, depth - 1))
-
-
 def winding_number(rect: Rect, evaluator: Evaluator,
                    sample_density: float = 0.0) -> WindingResult:
     """Zeros of the evaluator inside rect, by accumulated boundary phase.
 
     The evaluator maps a 1-D complex array of points to an array of values;
-    each edge's initial samples are one call, and each bisection probe is a
-    one-point call.  Segments whose endpoint phases differ by >= pi/2 are
-    bisected until the jump resolves; failure to resolve, or a sample
-    falling 10^-8 below its neighbours, raises ZeroOnContourError.  The
-    bisection cannot detect a full phase turn hidden between two adjacent
-    samples, so contours with rapid argument variation should raise
+    each edge's initial samples are one call, and each refinement round is
+    one call.  A round bisects every segment whose endpoint phases differ by
+    >= pi/2; failure to resolve the jumps in MAX_SUBDIV_DEPTH rounds, or a
+    midpoint falling 10^-8 below its neighbours, raises ZeroOnContourError.
+    The bisection cannot detect a full phase turn hidden between two
+    adjacent samples, so contours with rapid argument variation should raise
     ``sample_density`` (samples per unit of boundary length).
     """
-    walker = _PhaseWalker(evaluator)
+    def probe(z: np.ndarray) -> np.ndarray:
+        v = evaluator(z)
+        zero = np.flatnonzero(v == 0)
+        if zero.size:
+            raise ZeroOnContourError(complex(z[zero[0]]))
+        return v
+
     corners = rect.corners()
-    total = 0.0
-    first_val: complex | None = None
-    prev_z: complex | None = None
-    prev_v: complex | None = None
-    for edge in range(4):
-        za, zb = corners[edge], corners[(edge + 1) % 4]
+    edges = []
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
         n_edge = max(INIT_SAMPLES_PER_EDGE,
                      math.ceil(abs(zb - za) * sample_density))
-        zs = za + (zb - za) * (np.arange(n_edge) / n_edge)
-        for z, v in zip(zs.tolist(), walker.probe(zs)):
-            if first_val is None:
-                first_val = v
-            else:
-                total += walker.walk(prev_z, prev_v, z, v)
-            prev_z, prev_v = z, v
-    total += walker.walk(prev_z, prev_v, corners[0], first_val)
+        edges.append(za + (zb - za) * (np.arange(n_edge) / n_edge))
+    # the closed boundary: the first sample repeated at the end
+    z = np.concatenate(edges + [edges[0][:1]])
+    v = np.concatenate([probe(zs) for zs in edges])
+    v = np.append(v, v[0])
+    la = np.log(np.abs(v))
+    for rounds in range(MAX_SUBDIV_DEPTH + 1):
+        d = (np.diff(np.angle(v)) + math.pi) % TWO_PI - math.pi
+        jumps = np.flatnonzero(~(np.abs(d) < HALF_PI))
+        if not jumps.size:
+            break
+        zm = 0.5 * (z[jumps] + z[jumps + 1])
+        if rounds == MAX_SUBDIV_DEPTH:
+            near = complex(zm[0])
+            raise ZeroOnContourError(
+                near, f"phase jump stays >= pi/2 after {MAX_SUBDIV_DEPTH} "
+                f"subdivisions near {near}")
+        vm = probe(zm)
+        lm = np.log(np.abs(vm))
+        low = np.flatnonzero(lm < np.maximum(la[jumps], la[jumps + 1])
+                             + REL_ZERO_FLOOR)
+        if low.size:
+            raise ZeroOnContourError(complex(zm[low[0]]))
+        z = np.insert(z, jumps + 1, zm)
+        v = np.insert(v, jumps + 1, vm)
+        la = np.insert(la, jumps + 1, lm)
+    total = float(d.sum())
     count = round(total / TWO_PI)
     if abs(total - TWO_PI * count) > 1e-6:
         raise ZeroOnContourError(
@@ -194,9 +169,9 @@ def winding_number(rect: Rect, evaluator: Evaluator,
                          "not analytic inside the rectangle")
     return WindingResult(
         count=count,
-        min_modulus_on_contour=math.exp(walker.min_log - walker.max_log),
-        samples=walker.samples,
-        refined=walker.refined,
+        min_modulus_on_contour=math.exp(float(la.min()) - float(la.max())),
+        samples=z.size - 1,
+        refined=rounds > 0,
     )
 
 

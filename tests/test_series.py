@@ -13,7 +13,7 @@ from zetaderiv.series import (DELTA_MIN, MAX_TERMS, PRACTICAL_TERMS,
                               _partial_sum, choose_truncation, eval_deriv,
                               head, log_term_mag, series_is_practical,
                               tail_bound, tail_monotonicity_conditions,
-                              tail_ratio_upper, term)
+                              tail_ratio_upper)
 from zetaderiv.zeros import series_evaluator
 
 mp.mp.dps = 30
@@ -21,23 +21,6 @@ mp.mp.dps = 30
 
 def _mp_deriv(s: complex, k: int) -> complex:
     return complex(mp.diff(mp.zeta, mp.mpc(s), k))
-
-
-def test_term_values():
-    s = ComplexPoint(2.0, 0.0)
-    assert term(1, 0, s).to_complex() == 1.0
-    assert term(1, 5, s).is_zero()
-    got = term(3, 2, ComplexPoint(2.5, 1.0)).to_complex()
-    want = complex(mp.log(3) ** 2 / mp.mpc(3) ** complex(2.5, 1.0))
-    assert got == pytest.approx(want, rel=1e-13)
-
-
-def test_term_rejects_bad_args():
-    s = ComplexPoint(2.0, 0.0)
-    with pytest.raises(ValueError):
-        term(0, 1, s)
-    with pytest.raises(ValueError):
-        term(2, -1, s)
 
 
 def test_log_term_mag():

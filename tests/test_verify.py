@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from zetaderiv.verify import (ConstantCheck, run_suite, verify_head_bound,
-                              verify_m4_10_table, verify_remark_tables,
-                              verify_thm1a_constants, verify_vk_constants)
+from zetaderiv.verify import (ConstantCheck, _line_zero_count, run_suite,
+                              verify_head_bound, verify_m4_10_table,
+                              verify_remark_tables, verify_thm1a_constants,
+                              verify_vk_constants)
 
 from known_errata import R4_ERRATA_K, TIP_ERRATA_M
 
@@ -74,6 +75,15 @@ def test_remark_online_scan_m3():
     c = checks["remark.online_M3"]
     assert c.passed
     assert c.computed == 14.0
+
+
+def test_remark_online_scan_reports_the_lowest_zero_free_k():
+    # for M = 5 the count is 1 at k = 55..67 and 0 from 68 to past the
+    # published 87, so the zero-free run starts at 68
+    assert _line_zero_count(5, 67) > 0
+    c = _by_name(verify_remark_tables(max_M=5))["remark.online_M5"]
+    assert c.computed == 68.0
+    assert not c.passed
 
 
 def test_run_suite_dispatch():

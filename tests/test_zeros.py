@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetaderiv import zeros
 from zetaderiv.geometry import (ComplexPoint, cell, layout, q_value, strip,
@@ -12,11 +13,11 @@ from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
                               eval_deriv, head_ratio, log_term_mag,
                               tail_ratio_upper)
-from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, Rect, ZeroOnContourError,
-                             cell_winding, enumerate_zeros, hline_margin,
-                             locate_zero, rouche_certificate,
-                             series_evaluator, strip_certificate,
-                             winding_number)
+from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, MAX_SUBDIV_DEPTH, Rect,
+                             ZeroOnContourError, cell_winding,
+                             enumerate_zeros, hline_margin, locate_zero,
+                             rouche_certificate, series_evaluator,
+                             strip_certificate, winding_number)
 
 
 def _poly_evaluator(root: complex, power: int = 1):
@@ -61,10 +62,61 @@ def test_winding_samples_each_edge_in_one_call(density, n_edge):
 
     res = winding_number(Rect(0.0, 2.0, 0.0, 2.0), counting, density)
     assert res.count == 80 and res.refined
-    assert [n for n in sizes if n != 1] == [n_edge] * 4
-    assert sizes[0] == n_edge
+    assert sizes[:4] == [n_edge] * 4
     assert sum(sizes) == res.samples
-    assert len(sizes) == 4 + res.samples - 4 * n_edge
+    # each refinement round is one call, however many segments it bisects
+    assert len(sizes) - 4 < res.samples - 4 * n_edge
+
+
+def test_winding_depth_exhausted():
+    # a step function: its phase jumps by pi at sigma = 1 on the bottom and
+    # top edges, and no bisection resolves the jump
+    calls = []
+
+    def step(z):
+        calls.append(z.size)
+        return np.where(z.real < 1.0, 1.0 + 0j, -1.0 + 0j)
+
+    with pytest.raises(ZeroOnContourError,
+                       match=f"after {MAX_SUBDIV_DEPTH} subdivisions near "
+                       r"\(1\+0j\)"):
+        winding_number(Rect(0.0, 2.0, 0.0, 2.0), step)
+    assert len(calls) <= 4 + MAX_SUBDIV_DEPTH
+
+
+# 64 samples on a side of 1.5: 18 roots (6 of multiplicity 3) at 0.1 from
+# the boundary turn the phase by under 3*pi/2 between samples, so every
+# jump they cause is seen and bisected
+POLY_RECT = Rect(0.0, 1.5, 0.0, 1.5)
+
+
+def _boundary_distance(z: complex, rect: Rect) -> float:
+    dx = max(rect.sigma_lo - z.real, 0.0, z.real - rect.sigma_hi)
+    dy = max(rect.t_lo - z.imag, 0.0, z.imag - rect.t_hi)
+    if dx or dy:
+        return math.hypot(dx, dy)
+    return min(z.real - rect.sigma_lo, rect.sigma_hi - z.real,
+               z.imag - rect.t_lo, rect.t_hi - z.imag)
+
+
+_coord = st.floats(-1.0, 2.5)
+_root = st.builds(complex, _coord, _coord).filter(
+    lambda z: _boundary_distance(z, POLY_RECT) >= 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_root, st.integers(1, 3)), min_size=1, max_size=6))
+def test_winding_counts_polynomial_roots(roots):
+    def poly(z):
+        v = np.ones_like(z)
+        for r, m in roots:
+            v = v * (z - r) ** m
+        return v
+
+    inside = sum(m for r, m in roots if POLY_RECT.sigma_lo < r.real
+                 < POLY_RECT.sigma_hi and POLY_RECT.t_lo < r.imag
+                 < POLY_RECT.t_hi)
+    assert winding_number(POLY_RECT, poly).count == inside
 
 
 def _cell_points(M, k, j, n=16):

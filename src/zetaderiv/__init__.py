@@ -4,7 +4,7 @@ from .geometry import (CellRect, ComplexPoint, QConstant, StripSpec,
                        WedgeSpec, cell, count_strips, dominant_index, layout,
                        q_bracket, q_const, q_value, strip, wedge)
 from .scaled import ScaledComplex
-from .series import EvalResult, TailBound, eval_deriv, head, tail_bound
+from .series import EvalResult, eval_deriv, head, tail_bound
 from .zeros import (Rect, RoucheCertificate, StripCertificate, WindingResult,
                     ZeroRecord, ZeroOnContourError, enumerate_zeros,
                     hline_margin, locate_zero, rouche_certificate,
@@ -12,7 +12,7 @@ from .zeros import (Rect, RoucheCertificate, StripCertificate, WindingResult,
 
 __all__ = [
     "CellRect", "ComplexPoint", "QConstant", "StripSpec", "WedgeSpec",
-    "ScaledComplex", "EvalResult", "TailBound", "Rect", "RoucheCertificate",
+    "ScaledComplex", "EvalResult", "Rect", "RoucheCertificate",
     "StripCertificate", "WindingResult", "ZeroRecord", "ZeroOnContourError",
     "cell", "count_strips", "layout", "dominant_index", "q_bracket",
     "q_const", "q_value", "strip", "wedge", "eval_deriv", "head",

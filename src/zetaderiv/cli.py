@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, continuation, plots, verify
-from .geometry import ComplexPoint, TWO_PI, count_strips, layout, strip
+from .geometry import TWO_PI, count_strips, layout, strip
 from .scaled import ScaledComplex
 from .series import DELTA_MIN, eval_deriv, series_is_practical
-from .zeros import ZeroRecord, enumerate_zeros
+from .zeros import enumerate_zeros
 
 _LN10 = math.log(10.0)
 DEFAULT_CACHE = "zeta-cache.jsonl"
@@ -54,7 +54,7 @@ def _fmt_scaled(v: ScaledComplex, digits: int = 15) -> str:
 
 
 def cmd_eval(args) -> tuple[dict, list[str]]:
-    s = ComplexPoint(args.sigma, args.t)
+    s = complex(args.sigma, args.t)
     if series_is_practical(args.k, args.sigma, args.eps):
         res = eval_deriv(s, args.k, args.eps)
         route = "series"
@@ -73,9 +73,7 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
         "route": route,
         "value_mantissa": [m.real, m.imag],
         "value_exp10": e,
-        "abs_error_bound_log10": (res.abs_error_bound.log_abs() / _LN10
-                                  if not res.abs_error_bound.is_zero()
-                                  else -math.inf),
+        "abs_error_bound_log10": res.log_abs_error_bound / _LN10,
         "terms_used": res.terms_used,
     }
     lines = [
@@ -113,13 +111,6 @@ def cmd_regions(args) -> tuple[dict, list[str]]:
              "count_bounds": [lo, hi]}, lines)
 
 
-def _record_json(r: ZeroRecord) -> dict:
-    d = asdict(r)
-    d["location"] = {"sigma": r.location.sigma, "t": r.location.t}
-    d["predicted"] = {"sigma": r.predicted.sigma, "t": r.predicted.t}
-    return d
-
-
 def cmd_zeros(args) -> tuple[dict, list[str]]:
     sp = strip(args.M, args.k)
     if not sp.exists:
@@ -133,7 +124,7 @@ def cmd_zeros(args) -> tuple[dict, list[str]]:
     if T <= 0.0:
         raise SystemExit(f"zeros needs a positive height, got T = {T}")
     records, n = enumerate_zeros(args.M, args.k, T)
-    record_dicts = [_record_json(r) for r in records]
+    record_dicts = [asdict(r) for r in records]
     lines = [json.dumps(d, sort_keys=True) for d in record_dicts]
     lines.append(f"N = {n} zeros up to T = {T:.6f}")
     results = {"records": record_dicts, "N": n, "T": T}

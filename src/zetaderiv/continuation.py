@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import ComplexPoint
 from .scaled import ScaledComplex
 from .series import EvalResult
 
@@ -112,24 +111,28 @@ def _zeta_em(s: np.ndarray, eps: float,
     return value, N, est
 
 
-def eval_zeta_em(s: ComplexPoint, eps: float = 1e-12) -> EvalResult:
+def _log(x: float) -> float:
+    """Natural log of a nonnegative error estimate; -inf for zero."""
+    return math.log(x) if x else -math.inf
+
+
+def eval_zeta_em(s: complex, eps: float = 1e-12) -> EvalResult:
     """zeta(s) for sigma > 0, s != 1; the error estimate is heuristic."""
-    value, N, est = _zeta_em(np.array([s.to_complex()]), eps)
+    value, N, est = _zeta_em(np.array([s]), eps)
     return EvalResult(value=ScaledComplex.from_complex(complex(value[0])),
-                      abs_error_bound=ScaledComplex.from_parts(est, 0.0),
-                      terms_used=N)
+                      log_abs_error_bound=_log(est), terms_used=N)
 
 
-def pick_radius(s: ComplexPoint) -> float:
-    dist_pole = abs(s.to_complex() - 1.0)
-    r = min(CAUCHY_RADIUS, 0.5 * dist_pole, 0.8 * s.sigma)
+def pick_radius(s: complex) -> float:
+    dist_pole = abs(s - 1.0)
+    r = min(CAUCHY_RADIUS, 0.5 * dist_pole, 0.8 * s.real)
     if r <= 1e-6:
         raise ValueError(f"no feasible Cauchy radius at s={s} "
                          "(too close to the pole or the sigma=0 line)")
     return r
 
 
-def eval_deriv_cauchy(s: ComplexPoint, k: int,
+def eval_deriv_cauchy(s: complex, k: int,
                       eps: float = 1e-10) -> EvalResult:
     """k-th derivative via the trapezoid rule on a circle around s.
 
@@ -138,15 +141,14 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int,
     difference. The 64-node ring is one vectorized Euler-Maclaurin pass,
     and each doubling evaluates only its new nodes, in one more pass.
     """
-    if s.sigma <= 0.0:
+    if s.real <= 0.0:
         raise ValueError(f"Cauchy differentiation needs sigma > 0, "
-                         f"got {s.sigma}")
+                         f"got {s.real}")
     r = pick_radius(s)
-    z0 = s.to_complex()
     scale = math.factorial(k) / r ** k
 
     def weighted_sum(theta: np.ndarray) -> complex:
-        fz, _, _ = _zeta_em(z0 + r * np.exp(1j * theta), eps * 0.01)
+        fz, _, _ = _zeta_em(s + r * np.exp(1j * theta), eps * 0.01)
         return complex(np.sum(fz * np.exp(-1j * k * theta)))
 
     # node i of a ring with n nodes is node i * (MAX_NODES // n) of the
@@ -162,16 +164,9 @@ def eval_deriv_cauchy(s: ComplexPoint, k: int,
         diff = abs(cur - prev)
         if diff <= eps * max(1.0, abs(cur)) or nodes >= MAX_NODES:
             return EvalResult(value=ScaledComplex.from_complex(cur),
-                              abs_error_bound=ScaledComplex.from_parts(
-                                  diff, 0.0),
+                              log_abs_error_bound=_log(diff),
                               terms_used=nodes)
         prev = cur
-
-
-def _evaluator_for(k: int, eps: float):
-    """Contour evaluator for count_zeros_halfplane: zeta^(k) over a whole
-    array of points in one Euler-Maclaurin call, for every k."""
-    return lambda z: _zeta_em(z, eps, k)[0]
 
 
 def count_zeros_halfplane(k: int, T: float, sigma_min: float,
@@ -181,10 +176,10 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     sigma_min <= sigma <= sigma_max and t_min < t <= T.
 
     Each edge of the contour is one call of the Euler-Maclaurin kernel for
-    zeta^(k), whose error control is heuristic.  The contour is retried with
-    T shifted by +0.05 (up to 5 times) if it passes too close to a zero.
+    zeta^(k), whose error control is heuristic.  A contour that passes too
+    close to a zero raises ZeroOnContourError.
     """
-    from .zeros import Rect, ZeroOnContourError, winding_number
+    from .zeros import Rect, winding_number
 
     if sigma_max is None:
         if k not in SIGMA_MAX_TABLE:
@@ -193,16 +188,6 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     # small outward margin: the table values are suprema of zero real parts,
     # so a zero may sit arbitrarily close to the line itself
     sigma_hi = sigma_max + 0.05
-    f = _evaluator_for(k, 1e-9)
-    t_cur = T
-    last_err: Exception | None = None
-    for _ in range(6):
-        try:
-            res = winding_number(Rect(sigma_min, sigma_hi, t_min, t_cur), f,
-                                 sample_density=8.0)
-            return res.count
-        except ZeroOnContourError as err:  # pragma: no cover - rare path
-            last_err = err
-            t_cur += 0.05
-    raise RuntimeError(
-        f"contour kept passing near a zero after 5 retries: {last_err}")
+    return winding_number(Rect(sigma_min, sigma_hi, t_min, T),
+                          lambda z: _zeta_em(z, 1e-9, k)[0],
+                          sample_density=8.0).count

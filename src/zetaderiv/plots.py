@@ -133,11 +133,9 @@ ZERO_HEADER = ("M", "k", "j", "sigma", "t", "predicted_sigma", "predicted_t",
                "residual", "simplicity_margin")
 
 
-def plot_zeros(M: int, k: int, T: float, out_prefix: str | Path,
-               records: list[ZeroRecord] | None = None) -> list[Path]:
+def plot_zeros(M: int, k: int, T: float, out_prefix: str | Path) -> list[Path]:
     """Located zeros of strip S_M up to height T, as CSV and an SVG map."""
-    if records is None:
-        records, _ = enumerate_zeros(M, k, T)
+    records, _ = enumerate_zeros(M, k, T)
     prefix = Path(out_prefix)
     csv_path = prefix.with_suffix(".csv")
     write_csv(csv_path, ZERO_HEADER, _zero_rows(records))

@@ -2,10 +2,10 @@
 
 The k-th derivative is (-1)^k * sum_{n>=2} (log n)^k / n^s.  Individual terms
 span hundreds of orders of magnitude at high k, so every sum is shifted by its
-largest term exponent: eval_deriv carries one point as ScaledComplex, and
-eval_deriv_scaled returns plain complex values over an array of points,
-divided by a caller's scale of the same magnitude.  Truncation error is
-certified through the integral tail bound
+largest term exponent: eval_deriv returns one point's value as
+ScaledComplex, and eval_deriv_scaled returns plain complex values over an
+array of points, divided by a caller's scale of the same magnitude.
+Truncation error is certified through the integral tail bound
 R_M^k(sigma) = M/(sigma-1) * (1 + k/((sigma-1)log M - k + 1)), valid whenever
 k - 1 < (sigma - 1) log M.
 """
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ComplexPoint
 from .scaled import ScaledComplex
 
 DELTA_MIN = 0.05
@@ -34,22 +33,12 @@ CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Series value with a certified bound on the truncation error."""
+    """A value with the log of a bound on its absolute error (-inf for a
+    zero bound, inf for none)."""
 
     value: ScaledComplex
-    abs_error_bound: ScaledComplex
+    log_abs_error_bound: float
     terms_used: int
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """Integral bound: when valid, sum_{n>M} Q_n(sigma) <= Q_M(sigma) * R."""
-
-    M: int
-    k: int
-    sigma: float
-    R: float
-    valid: bool
 
 
 def log_term_mag(n: int, k: int, sigma: float) -> float:
@@ -58,13 +47,13 @@ def log_term_mag(n: int, k: int, sigma: float) -> float:
     return k * math.log(math.log(n)) - sigma * math.log(n)
 
 
-def head(M: int, k: int, s: ComplexPoint) -> ScaledComplex:
+def head(M: int, k: int, s: complex) -> ScaledComplex:
     """Head H_M = sum_{n=2}^{M-1} Q_n(s); empty (zero) for M = 2."""
     if M < 2:
         raise ValueError(f"head needs M >= 2, got {M}")
     if M == 2:
         return ScaledComplex.zero()
-    mant, shift = _partial_sum(k, s.sigma, s.t, 2, M - 1)
+    mant, shift = _partial_sum(k, s.real, s.imag, 2, M - 1)
     return ScaledComplex.from_parts(mant, shift)
 
 
@@ -119,15 +108,14 @@ def _tail_valid(M: int, k: int, sigma):
     return k - 1.0 < (sigma - 1.0) * math.log(M)
 
 
-def tail_bound(M: int, k: int, sigma: float) -> TailBound:
-    """Certified tail factor; invalid when k - 1 >= (sigma - 1) log M."""
+def tail_bound(M: int, k: int, sigma: float) -> float:
+    """Certified tail factor R with sum_{n>M} Q_n(sigma) <= Q_M(sigma) * R;
+    inf when k - 1 >= (sigma - 1) log M."""
     if M < 2:
         raise ValueError(f"tail bound needs M >= 2, got {M}")
     if sigma <= 1.0:
         raise ValueError(f"tail bound needs sigma > 1, got {sigma}")
-    valid = _tail_valid(M, k, sigma)
-    R = _tail_R(M, k, sigma) if valid else math.inf
-    return TailBound(M, k, sigma, R, valid)
+    return _tail_R(M, k, sigma) if _tail_valid(M, k, sigma) else math.inf
 
 
 def _log_tail(N: int, k: int, sigma):
@@ -218,7 +206,7 @@ def _check_domain(k: int, sigma_min: float) -> None:
             f"{1.0 + DELTA_MIN}")
 
 
-def eval_deriv(s: ComplexPoint, k: int,
+def eval_deriv(s: complex, k: int,
                eps_rel: float = DEFAULT_EPS_REL) -> EvalResult:
     """Value of the k-th zeta derivative at s, sigma > 1 + DELTA_MIN.
 
@@ -227,16 +215,17 @@ def eval_deriv(s: ComplexPoint, k: int,
     rounding_allowance relative, far above 1e-16 at high k (3.9e-11 against
     40-digit mpmath at k = 10^5).
     """
-    _check_domain(k, s.sigma)
-    N = choose_truncation(k, s.sigma, eps_rel)
-    mant, shift = _partial_sum(k, s.sigma, s.t, 2, N)
+    _check_domain(k, s.real)
+    N = choose_truncation(k, s.real, eps_rel)
+    mant, shift = _partial_sum(k, s.real, s.imag, 2, N)
     value = ScaledComplex.from_parts(mant, shift)
     if k == 0:
         value = value + ScaledComplex.one()  # the n = 1 term
     elif k % 2:
         value = -value
-    bound = ScaledComplex.from_polar(float(_log_tail(N, k, s.sigma)), 0.0)
-    return EvalResult(value=value, abs_error_bound=bound, terms_used=N - 1)
+    return EvalResult(value=value,
+                      log_abs_error_bound=float(_log_tail(N, k, s.real)),
+                      terms_used=N - 1)
 
 
 def eval_deriv_scaled(s: np.ndarray, k: int, log_scale: np.ndarray,

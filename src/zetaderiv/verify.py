@@ -81,7 +81,7 @@ def verify_vk_constants() -> list[ConstantCheck]:
     for k in range(3, 201):
         sigma = q2 * k + 2.0
         checks.append(_check(f"vk.r4_bound_k{k}", 0.68,
-                             tail_bound(4, k, sigma).R, '<'))
+                             tail_bound(4, k, sigma), '<'))
     slack = 1.0 - 4.0 / 9.0 - 0.19 * (1.0 + 0.68)
     checks.append(_check("vk.final_slack_positive", slack, 0.0, '<'))
     return checks
@@ -109,7 +109,7 @@ def verify_thm1a_constants() -> list[ConstantCheck]:
     for k in range(k_tip, 201):
         sigma = q3 * k + 4.0 * LOG3
         checks.append(_check(f"thm1a.r4_bound_k{k}", 0.72,
-                             tail_bound(4, k, sigma).R, '<'))
+                             tail_bound(4, k, sigma), '<'))
     slack = 1.0 - 0.45 - 0.29 * (1.0 + 0.72)
     checks.append(_check("thm1a.final_slack_positive", slack, 0.0, '<'))
     return checks
@@ -123,7 +123,7 @@ def verify_m4_10_table() -> list[ConstantCheck]:
         k_m = wedge(M).tip_k
         sigma_m = q_value(M) * k_m + (M + 1) * LOG3
         checks.append(_check(f"m4_10.r{M + 1}_at_sigma{M}", r_bound,
-                             tail_bound(M + 1, k_m, sigma_m).R, '<'))
+                             tail_bound(M + 1, k_m, sigma_m), '<'))
         checks.append(_check(f"m4_10.q{M + 1}_over_q{M}", q_bound,
                              _term_ratio(M + 1, M, k_m, sigma_m), '<'))
         t_ratio = tail_ratio_upper(M + 1, k_m, sigma_m,

@@ -271,10 +271,10 @@ def hline_margin(M: int, k: int, j: int) -> float:
 # localization
 
 
-def _normalized_modulus(s: ComplexPoint, order: int) -> float:
+def _normalized_modulus(s: complex, order: int) -> float:
     """|zeta^(order)(s)| / Q_n(sigma), n being the dominant index at s."""
     res = eval_deriv(s, order)
-    ref = log_term_mag(dominant_index(s.sigma, order), order, s.sigma)
+    ref = log_term_mag(dominant_index(s.real, order), order, s.real)
     return math.exp(res.value.log_abs() - ref)
 
 
@@ -285,8 +285,8 @@ def _newton_from(start: complex, k: int,
     z = start
     escapes = 0
     for it in range(1, NEWTON_MAX_ITERS + 1):
-        f = eval_deriv(ComplexPoint(z.real, z.imag), k).value
-        fp = eval_deriv(ComplexPoint(z.real, z.imag), k + 1).value
+        f = eval_deriv(z, k).value
+        fp = eval_deriv(z, k + 1).value
         if fp.is_zero():
             return None
         step = -(f / fp).to_complex()
@@ -341,11 +341,10 @@ def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
         raise LocateError(
             start, f"no convergence in cell (M={M}, k={k}, j={j})")
     z, iters = result
-    loc = ComplexPoint(z.real, z.imag)
-    margin = _normalized_modulus(loc, k + 1)
+    margin = _normalized_modulus(z, k + 1)
     return ZeroRecord(
-        location=loc, M=M, k=k, j=j,
-        residual=_normalized_modulus(loc, k),
+        location=ComplexPoint(z.real, z.imag), M=M, k=k, j=j,
+        residual=_normalized_modulus(z, k),
         simplicity_margin=margin,
         newton_iters=iters,
         predicted=c.predicted_zero,

@@ -6,11 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetaderiv import continuation
+from zetaderiv import continuation, zeros
 from zetaderiv.continuation import (SIGMA_MAX_TABLE, _bernoulli_table,
                                     count_zeros_halfplane, eval_deriv_cauchy,
                                     eval_zeta_em, pick_radius)
-from zetaderiv.geometry import ComplexPoint
+from zetaderiv.zeros import winding_number
 
 mp.mp.dps = 30
 
@@ -34,7 +34,7 @@ def test_bernoulli_table_known_values():
     (1.5, 0.0), (0.9, -8.0),
 ] + list(itertools.product(HALFPLANE_SIGMAS, HALFPLANE_TS)))
 def test_eval_zeta_em_matches_mpmath(sigma, t):
-    got = eval_zeta_em(ComplexPoint(sigma, t), 1e-12).value.to_complex()
+    got = eval_zeta_em(complex(sigma, t), 1e-12).value.to_complex()
     want = complex(mp.zeta(complex(sigma, t)))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -53,9 +53,9 @@ def test_zeta_em_points_share_the_cutoff_of_the_largest_t():
 
 def test_eval_zeta_em_guards():
     with pytest.raises(ValueError):
-        eval_zeta_em(ComplexPoint(-0.5, 3.0))
+        eval_zeta_em(complex(-0.5, 3.0))
     with pytest.raises(ValueError):
-        eval_zeta_em(ComplexPoint(1.0, 0.0))
+        eval_zeta_em(complex(1.0, 0.0))
 
 
 @pytest.mark.parametrize("sigma,t,k", [
@@ -68,7 +68,7 @@ def test_eval_zeta_em_guards():
 def test_eval_deriv_cauchy_matches_mpmath(sigma, t, k):
     # both routes to zeta^(k): the Cauchy circle and the differentiated
     # Euler-Maclaurin kernel
-    res = eval_deriv_cauchy(ComplexPoint(sigma, t), k, 1e-10)
+    res = eval_deriv_cauchy(complex(sigma, t), k, 1e-10)
     kernel = continuation._zeta_em(np.array([complex(sigma, t)]), 1e-10, k)
     want = complex(mp.diff(mp.zeta, complex(sigma, t), k))
     assert res.value.to_complex() == pytest.approx(want, rel=1e-8, abs=1e-10)
@@ -84,7 +84,7 @@ def test_cauchy_ring_fills_in_one_kernel_call_per_doubling(monkeypatch):
         return kernel(s, eps, k)
 
     monkeypatch.setattr(continuation, "_zeta_em", counting)
-    res = eval_deriv_cauchy(ComplexPoint(1.5, 2.0), 1, 1e-10)
+    res = eval_deriv_cauchy(complex(1.5, 2.0), 1, 1e-10)
     assert res.terms_used == 128
     # the 64-node ring, then the 64 new nodes of the doubling
     assert sizes == [64, 64]
@@ -116,16 +116,33 @@ def test_eval_deriv_cauchy_unconverged_reports_last_difference():
     # eps = 1e-30 is below double precision, so the doubling stops at 4096
     # nodes without agreement; the estimate is then the last doubling
     # difference, never zero
-    res = eval_deriv_cauchy(ComplexPoint(2.0, 5.0), 3, 1e-30)
+    res = eval_deriv_cauchy(complex(2.0, 5.0), 3, 1e-30)
     assert res.terms_used == 4096
-    assert 0.0 < abs(res.abs_error_bound.to_complex()) < 1e-10
+    assert 0.0 < math.exp(res.log_abs_error_bound) < 1e-10
 
 def test_pick_radius_shrinks_near_pole_and_axis():
-    assert pick_radius(ComplexPoint(1.2, 0.0)) == pytest.approx(0.1)
-    assert pick_radius(ComplexPoint(0.1, 20.0)) == pytest.approx(0.08)
-    assert pick_radius(ComplexPoint(5.0, 5.0)) == pytest.approx(0.25)
+    assert pick_radius(complex(1.2, 0.0)) == pytest.approx(0.1)
+    assert pick_radius(complex(0.1, 20.0)) == pytest.approx(0.08)
+    assert pick_radius(complex(5.0, 5.0)) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        eval_deriv_cauchy(ComplexPoint(-1.0, 2.0), 1)
+        eval_deriv_cauchy(complex(-1.0, 2.0), 1)
+
+
+def test_zero_on_contour_raises_instead_of_moving_t(monkeypatch):
+    # a contour through a zero is an error; the count is never taken at a
+    # shifted height and reported as N(T)
+    calls = []
+
+    def on_zero(rect, *args, **kwargs):
+        calls.append(rect)
+        if len(calls) == 1:
+            raise zeros.ZeroOnContourError(complex(0.5, rect.t_hi))
+        return winding_number(rect, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "winding_number", on_zero)
+    with pytest.raises(zeros.ZeroOnContourError):
+        count_zeros_halfplane(0, 30.0, 0.05)
+    assert [rect.t_hi for rect in calls] == [30.0]
 
 
 def test_zero_count_zeta_up_to_50():

@@ -148,8 +148,7 @@ def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, own_term):
     for p, value in zip(z.tolist(), got.tolist()):
         scale = ScaledComplex.from_polar(log_term_mag(M_ref, k, p.real),
                                          -p.imag * math.log(M_ref))
-        want = (eval_deriv(ComplexPoint(p.real, p.imag), k).value
-                / scale).to_complex()
+        want = (eval_deriv(p, k).value / scale).to_complex()
         assert abs(value - want) <= 1e-15 * k * abs(want)
     # the batched search gives each point the cutoff it gets on its own
     cutoff, met = _cutoff(k, z.real, 1e-12, MAX_TERMS)[:2]

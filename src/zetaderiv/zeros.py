@@ -7,6 +7,13 @@ head and a certified tail bound along cell boundaries, normalized by the
 positive real Q_M(sigma).  Strip contours divide the k-th derivative by the
 complex dominant term Q_M(s) = (log M)^k M^(-s), which is entire and has no
 zeros, so winding numbers are untouched and only the fast phase M^(-it) goes.
+
+Zeros are located by one array Newton per strip: the predicted zeros of all
+the cells asked for start together, and each iteration sums the orders k and
+k+1 over the points still active in one call each.  Every sum of a strip
+runs to one cutoff, chosen at the strip's left edge, where the tail test is
+hardest.  A cell where Newton fails goes to a quadrisection fallback by
+winding number, whose restarts are the same Newton from one point.
 """
 from __future__ import annotations
 
@@ -17,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
-from .series import (eval_deriv, eval_deriv_scaled, head_ratio, log_term_mag,
+from .series import (DEFAULT_EPS_REL, MAX_TERMS, _cutoff, _partial_sum,
+                     eval_deriv_scaled, head_ratio, log_term_mag,
                      rounding_allowance, tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
@@ -28,7 +36,11 @@ REL_ZERO_FLOOR = math.log(1e-8)
 MAX_SUBDIV_DEPTH = 48
 INIT_SAMPLES_PER_EDGE = 64
 NEWTON_MAX_ITERS = 60
-# Newton stops once its step is below this
+# Newton stops once its step is below this.  The bound is absolute: once |z|
+# is around 1000 or more it sits below the floor that rounding sets on the
+# steps, so Newton can miss it in a cell with a simple zero (the failing
+# cells of perfbench/data/cells.json); it stays until a stop rule relative
+# to |z| replaces it
 NEWTON_TOL = 1e-12
 # sigma intervals of a strip certificate
 SWEEP_INTERVALS = 256
@@ -271,37 +283,71 @@ def hline_margin(M: int, k: int, j: int) -> float:
 # localization
 
 
-def _normalized_modulus(s: complex, order: int) -> float:
-    """|zeta^(order)(s)| / Q_n(sigma), n being the dominant index at s."""
-    res = eval_deriv(s, order)
-    ref = log_term_mag(dominant_index(s.real, order), order, s.real)
-    return math.exp(res.value.log_abs() - ref)
+def _strip_cutoff(k: int, sigma_lo: float) -> int:
+    """One cutoff N for the orders k and k+1 over the whole strip whose
+    left edge is sigma_lo: the larger of their choose_truncation cutoffs at
+    sigma_lo.  It meets the tail test at every sigma >= sigma_lo, because
+    the test's ratio R_N(sigma) / sum_{n<=N} Q_n(sigma)/Q_N(sigma) falls
+    as sigma grows: R_N falls, and each Q_n/Q_N with n < N rises."""
+    N = 0
+    for order in (k, k + 1):
+        cutoff, met = _cutoff(order, sigma_lo, DEFAULT_EPS_REL, MAX_TERMS)[:2]
+        if not met:
+            raise ValueError(f"order-{order} series needs more than "
+                             f"{MAX_TERMS} terms at sigma = {sigma_lo}")
+        N = max(N, int(cutoff))
+    return N
 
 
-def _newton_from(start: complex, k: int,
-                 c: CellRect) -> tuple[complex, int] | None:
-    """Newton on the k-th derivative; None if the iterate escapes the cell
-    twice or fails to converge."""
-    z = start
-    escapes = 0
-    for it in range(1, NEWTON_MAX_ITERS + 1):
-        f = eval_deriv(z, k).value
-        fp = eval_deriv(z, k + 1).value
-        if fp.is_zero():
-            return None
-        step = -(f / fp).to_complex()
-        z = z + step
-        if not c.contains(z.real, z.imag):
-            escapes += 1
-            if escapes >= 2:
-                return None
-            z = complex(
-                min(max(z.real, c.sigma_range[0] + 1e-9),
-                    c.sigma_range[1] - 1e-9),
-                min(max(z.imag, c.t_range[0] + 1e-9), c.t_range[1] - 1e-9))
-        if abs(step) < NEWTON_TOL:
-            return z, it
-    return None
+def _sums(k: int, z: np.ndarray, N: int):
+    """The order-k and order-(k+1) sums over n = 2..N at each point of z,
+    each as (mantissa, exponent).  They are (-1)^k zeta^(k) and
+    (-1)^(k+1) zeta^(k+1) up to the tail, for k >= 1."""
+    return (_partial_sum(k, z.real, z.imag, 2, N),
+            _partial_sum(k + 1, z.real, z.imag, 2, N))
+
+
+def _newton(z: np.ndarray, k: int, N: int, sigma_range: tuple[float, float],
+            t_lo: np.ndarray, t_hi: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Newton on the k-th derivative from each start point of z, each in
+    its own cell (sigma_range by (t_lo, t_hi)), all summed to the cutoff N.
+    Each iteration is one _sums call over the points still active.  A point
+    stops once its step is below NEWTON_TOL; it fails when it escapes its
+    cell twice (after the first escape it is clamped back inside), when its
+    order-(k+1) sum is 0 or its step is not finite, or after
+    NEWTON_MAX_ITERS steps.  Returns the final points and the iterations
+    each took, 0 for a failed start."""
+    z = z.copy()
+    iters = np.zeros(z.size, dtype=int)
+    escapes = np.zeros(z.size, dtype=int)
+    active = np.arange(z.size)
+    s_lo, s_hi = sigma_range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, NEWTON_MAX_ITERS + 1):
+            if not active.size:
+                break
+            za = z[active]
+            (m_k, e_k), (m_k1, e_k1) = _sums(k, za, N)
+            # -zeta^(k)/zeta^(k+1): the two sums carry opposite signs
+            step = m_k / m_k1 * np.exp(e_k - e_k1)
+            za = za + step
+            lo, hi = t_lo[active], t_hi[active]
+            out = ~((s_lo < za.real) & (za.real < s_hi)
+                    & (lo < za.imag) & (za.imag < hi))
+            if out.any():
+                escapes[active] += out
+                za[out] = (np.minimum(np.maximum(za.real[out], s_lo + 1e-9),
+                                      s_hi - 1e-9)
+                           + 1j * np.minimum(np.maximum(za.imag[out],
+                                                        lo[out] + 1e-9),
+                                             hi[out] - 1e-9))
+            z[active] = za
+            alive = np.isfinite(step) & (escapes[active] < 2)
+            done = alive & (np.abs(step) < NEWTON_TOL)
+            iters[active[done]] = it
+            active = active[alive & ~done]
+    return z, iters
 
 
 def _quadrants(rect: Rect) -> list[Rect]:
@@ -313,52 +359,89 @@ def _quadrants(rect: Rect) -> list[Rect]:
             Rect(sm, rect.sigma_hi, tm, rect.t_hi)]
 
 
-def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
-    """Refine the predicted cell zero by Newton; quadrisect by winding and
-    restart if Newton wanders out of the cell."""
+def _fallback(M: int, k: int, j: int, N: int) -> tuple[complex, int]:
+    """Quadrisect cell j by winding number, up to 6 times, restarting
+    Newton from the center of the quadrant holding one zero."""
     c = cell(M, k, j)
-    start = c.predicted_zero.to_complex()
-    result = _newton_from(start, k, c)
-    if result is None:
-        evaluator = series_evaluator(k, M_ref=M)
-        rect = Rect(c.sigma_range[0], c.sigma_range[1],
-                    c.t_range[0], c.t_range[1])
-        for _ in range(6):
-            sub = None
-            for quad in _quadrants(rect):
-                if winding_number(quad, evaluator).count == 1:
-                    sub = quad
-                    break
-            if sub is None:
+    t_lo, t_hi = np.array(c.t_range[:1]), np.array(c.t_range[1:])
+    evaluator = series_evaluator(k, M_ref=M)
+    rect = Rect(c.sigma_range[0], c.sigma_range[1],
+                c.t_range[0], c.t_range[1])
+    for _ in range(6):
+        sub = None
+        for quad in _quadrants(rect):
+            if winding_number(quad, evaluator).count == 1:
+                sub = quad
                 break
-            rect = sub
-            center = complex(0.5 * (rect.sigma_lo + rect.sigma_hi),
-                             0.5 * (rect.t_lo + rect.t_hi))
-            result = _newton_from(center, k, c)
-            if result is not None:
-                break
-    if result is None:
-        raise LocateError(
-            start, f"no convergence in cell (M={M}, k={k}, j={j})")
-    z, iters = result
-    margin = _normalized_modulus(z, k + 1)
-    return ZeroRecord(
-        location=ComplexPoint(z.real, z.imag), M=M, k=k, j=j,
-        residual=_normalized_modulus(z, k),
-        simplicity_margin=margin,
-        newton_iters=iters,
-        predicted=c.predicted_zero,
-    )
+        if sub is None:
+            break
+        rect = sub
+        center = complex(0.5 * (rect.sigma_lo + rect.sigma_hi),
+                         0.5 * (rect.t_lo + rect.t_hi))
+        z, iters = _newton(np.array([center]), k, N, c.sigma_range,
+                           t_lo, t_hi)
+        if iters[0]:
+            return complex(z[0]), int(iters[0])
+    raise LocateError(c.predicted_zero.to_complex(),
+                      f"no convergence in cell (M={M}, k={k}, j={j})")
+
+
+def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
+    """Records for the cells js (ascending) of strip S_M: one array Newton
+    from their predicted zeros, all summed to the strip's one cutoff, then
+    for each cell where it fails the quadrisection fallback, whose restarts
+    are one-point runs of the same Newton.  Raises LocateError for the
+    first cell that the fallback cannot locate either."""
+    c0 = cell(M, k, js[0] if js else 0)
+    sp = c0.strip
+    N = _strip_cutoff(k, c0.sigma_range[0])
+    j = np.array(js, dtype=int)
+    t_lo, t_hi = TWO_PI * j / sp.delta, TWO_PI * (j + 1) / sp.delta
+    t_pred = (2 * j + 1) * math.pi / sp.delta
+    z, iters = _newton(sp.center_sigma + 1j * t_pred, k, N, c0.sigma_range,
+                       t_lo, t_hi)
+    t_pred = t_pred.tolist()
+    for i in np.flatnonzero(iters == 0).tolist():
+        z[i], iters[i] = _fallback(M, k, js[i], N)
+    (m_k, e_k), (m_k1, e_k1) = _sums(k, z, N)
+    log_k, log_k1 = np.log(np.abs(m_k)) + e_k, np.log(np.abs(m_k1)) + e_k1
+    records = []
+    for i, (s, t) in enumerate(zip(z.real.tolist(), z.imag.tolist())):
+        # normalized by Q_n(sigma), n the dominant index at s of each order
+        records.append(ZeroRecord(
+            location=ComplexPoint(s, t), M=M, k=k, j=js[i],
+            residual=math.exp(log_k[i] - log_term_mag(
+                dominant_index(s, k), k, s)),
+            simplicity_margin=math.exp(log_k1[i] - log_term_mag(
+                dominant_index(s, k + 1), k + 1, s)),
+            newton_iters=int(iters[i]),
+            predicted=ComplexPoint(sp.center_sigma, t_pred[i])))
+    return records
+
+
+def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
+    """The zero in cell(M, k, j): Newton from the predicted zero, and if it
+    escapes the cell twice or does not converge, Newton restarted from the
+    quadrant that holds one zero by winding number.  enumerate_zeros' path
+    for one cell, so its sums run to the strip's one cutoff and the record
+    equals enumerate_zeros' record j."""
+    return _locate(M, k, [j])[0]
 
 
 def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     """All strip-S_M zeros of the k-th derivative with 0 < t <= T, plus the
-    count N at height T."""
+    count N at height T.
+
+    The cells below T are located by one array Newton, started from all
+    their predicted zeros at once; each iteration is one sum per order k and
+    k+1 over the cells still active.  Every sum runs to one cutoff for the
+    strip, taken at its left edge: the tail test there holds at every sigma
+    of the strip (_strip_cutoff).  Cells where Newton fails go one by one to
+    locate_zero's quadrisection fallback."""
     if T <= 0.0:
         raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
-    c0 = cell(M, k, 0)
-    delta = c0.strip.delta
+    delta = cell(M, k, 0).strip.delta
     j_max = math.ceil(T * delta / TWO_PI)
-    located = [locate_zero(M, k, j) for j in range(j_max)]
+    located = _locate(M, k, list(range(j_max)))
     records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetaderiv import zeros
+from zetaderiv import series, zeros
 from zetaderiv.geometry import (ComplexPoint, cell, layout, q_value, strip,
                                 wedge)
 from zetaderiv.scaled import ScaledComplex
-from zetaderiv.series import (MAX_TERMS, _cutoff, choose_truncation,
-                              eval_deriv, head_ratio, log_term_mag,
-                              tail_ratio_upper)
+from zetaderiv.series import (DEFAULT_EPS_REL, MAX_TERMS, _cutoff,
+                              _partial_sum, choose_truncation, eval_deriv,
+                              head_ratio, log_term_mag, tail_ratio_upper)
 from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, MAX_SUBDIV_DEPTH, Rect,
                              ZeroOnContourError, cell_winding,
                              enumerate_zeros, hline_margin, locate_zero,
@@ -406,3 +406,100 @@ def test_zero_ordinates_periodic():
     for r in records:
         want = (2 * r.j + 1) * math.pi / sp.delta
         assert abs(r.location.t - want) < 0.1 * sp.period
+
+
+def _count_at(M, k, J):
+    """The sanctioned height T_J of strip S_M, as `zetaderiv zeros
+    --count-at J` takes it."""
+    return 2.0 * math.pi * J / strip(M, k).delta
+
+
+def test_enumerate_zeros_makes_one_sums_call_per_order_and_step(monkeypatch):
+    sizes = []
+
+    def counting(order, sigma, t, n_lo, n_hi):
+        sizes.append(np.size(sigma))
+        return _partial_sum(order, sigma, t, n_lo, n_hi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_deriv called on the strip path")
+
+    monkeypatch.setattr(zeros, "_partial_sum", counting)
+    monkeypatch.setattr(series, "eval_deriv", refuse)
+    monkeypatch.setattr(zeros, "eval_deriv", refuse, raising=False)
+    records, n = enumerate_zeros(2, 38, _count_at(2, 38, 40))
+    assert n == 40 and [r.j for r in records] == list(range(40))
+    # the first step takes every cell at once, for each of the two orders
+    assert sizes[:2] == [40, 40]
+    assert len(sizes) <= 2 * (zeros.NEWTON_MAX_ITERS + 1)
+
+
+@pytest.mark.parametrize("M,k", [(2, 38), (3, 400), (4, 1156)])
+def test_locate_zero_matches_enumerate_zeros(M, k):
+    records, n = enumerate_zeros(M, k, _count_at(M, k, 40))
+    assert n == 40
+    for rec in records:
+        assert locate_zero(M, k, rec.j) == rec, rec.j
+
+
+@pytest.mark.parametrize("where", ["start", "cell"])
+def test_degenerate_step_fails_the_start_not_the_run(monkeypatch, where):
+    # the order-(k+1) sum is 0 at the predicted zero of cell 3 only, or
+    # anywhere in cell 3
+    M, k, bad = 2, 38, 3
+    T = _count_at(M, k, 8)
+    clean, _ = enumerate_zeros(M, k, T)
+    c = cell(M, k, bad)
+    z0 = c.predicted_zero.to_complex()
+
+    def degenerate(order, sigma, t, n_lo, n_hi):
+        mant, shift = _partial_sum(order, sigma, t, n_lo, n_hi)
+        if order == k + 1:
+            if where == "start":
+                hit = (sigma == z0.real) & (t == z0.imag)
+            else:
+                hit = (c.t_range[0] < t) & (t < c.t_range[1])
+            mant = np.where(hit, 0.0, mant)
+        return mant, shift
+
+    windings = []
+
+    def counted(*args, **kwargs):
+        windings.append(args[0])
+        return winding_number(*args, **kwargs)
+
+    monkeypatch.setattr(zeros, "_partial_sum", degenerate)
+    monkeypatch.setattr(zeros, "winding_number", counted)
+    if where == "start":
+        # cell 3 goes to the quadrisection fallback, which finds its zero
+        records, n = enumerate_zeros(M, k, T)
+        assert n == 8 and windings
+        for rec, want in zip(records, clean):
+            if rec.j != bad:
+                assert rec == want
+        rec = records[bad]
+        assert c.contains(rec.location.sigma, rec.location.t)
+        assert abs(rec.location.to_complex()
+                   - clean[bad].location.to_complex()) < 1e-9
+        assert rec.residual < 1e-10
+    else:
+        with pytest.raises(zeros.LocateError, match=f"j={bad}\\)"):
+            enumerate_zeros(M, k, T)
+        assert windings
+        for j in (bad - 1, bad + 1):
+            assert locate_zero(M, k, j) == clean[j]
+
+
+_strips = st.integers(38, 1600).flatmap(lambda k: st.sampled_from(
+    [(sp.M, k) for sp in layout(k)[1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_strips, st.floats(0.0, 1.0))
+def test_strip_cutoff_covers_every_sigma_of_the_strip(mk, u):
+    M, k = mk
+    lo, hi = cell(M, k, 0).sigma_range
+    N = zeros._strip_cutoff(k, lo)
+    sigma = min(lo + (hi - lo) * u, hi)
+    for order in (k, k + 1):
+        assert choose_truncation(order, sigma, DEFAULT_EPS_REL) <= N

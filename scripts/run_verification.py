@@ -1,26 +1,11 @@
 #!/usr/bin/env python3
-"""Run every constant-verification suite and print a one-line-per-check
-report; exits nonzero if any check fails (a few published bounds are known
-to fail -- see "Known errata in the published constants" in the README)."""
+"""Run every constant-verification suite: the report of `zetaderiv verify
+all`, one line per check and a closing "passed/total" line; exits 1 if any
+check fails (a few published bounds are known to fail -- see "Known errata
+in the published constants" in the README)."""
 import sys
 
-from zetaderiv.verify import SUITES
-
-
-def main() -> int:
-    total = failures = 0
-    for name, fn in SUITES.items():
-        checks = fn()
-        bad = [c for c in checks if not c.passed]
-        total += len(checks)
-        failures += len(bad)
-        print(f"{name}: {len(checks) - len(bad)}/{len(checks)} pass")
-        for c in bad:
-            print(f"  FAIL {c.name}: computed {c.computed:.6g} "
-                  f"{c.relation} claimed {c.claimed:.6g}")
-    print(f"total: {total - failures}/{total} pass")
-    return 1 if failures else 0
-
+from zetaderiv import cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main(["verify", "all"]))

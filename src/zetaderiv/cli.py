@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__, continuation, plots, verify
 from .geometry import TWO_PI, count_strips, layout, strip
 from .scaled import ScaledComplex
-from .series import DELTA_MIN, eval_deriv, series_is_practical
+from .series import eval_deriv, series_is_practical
 from .zeros import enumerate_zeros
 
 _LN10 = math.log(10.0)
@@ -58,10 +58,6 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     if series_is_practical(args.k, args.sigma, args.eps):
         res = eval_deriv(s, args.k, args.eps)
         route = "series"
-    elif args.sigma <= 0.0:
-        raise SystemExit("sigma must be positive; the implemented "
-                         "continuation covers 0 < sigma <= "
-                         f"{1.0 + DELTA_MIN} and the series the rest")
     elif args.k == 0:
         res = continuation.eval_zeta_em(s, args.eps)
         route = "euler-maclaurin"
@@ -85,8 +81,6 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
 
 
 def cmd_regions(args) -> tuple[dict, list[str]]:
-    if args.k < 3:
-        raise SystemExit(f"regions needs k >= 3, got {args.k}")
     k = args.k
     lines = [f"order k = {k}"]
     wedges = []
@@ -112,17 +106,9 @@ def cmd_regions(args) -> tuple[dict, list[str]]:
 
 
 def cmd_zeros(args) -> tuple[dict, list[str]]:
-    sp = strip(args.M, args.k)
-    if not sp.exists:
-        raise SystemExit(f"strip S_{args.M} does not exist at k={args.k}")
+    T = args.T
     if args.count_at is not None:
-        T = TWO_PI * args.count_at / sp.delta
-    elif args.T is not None:
-        T = args.T
-    else:
-        raise SystemExit("pass either --T or --count-at")
-    if T <= 0.0:
-        raise SystemExit(f"zeros needs a positive height, got T = {T}")
+        T = TWO_PI * args.count_at / strip(args.M, args.k).delta
     records, n = enumerate_zeros(args.M, args.k, T)
     record_dicts = [asdict(r) for r in records]
     lines = [json.dumps(d, sort_keys=True) for d in record_dicts]
@@ -157,10 +143,8 @@ def cmd_plot(args) -> tuple[dict, list[str]]:
         paths = plots.plot_zeros(args.M, args.k, args.T, args.out)
     elif args.kind == "figure2":
         paths = plots.plot_figure2(args.out)
-    elif args.kind == "figure4":
-        paths = plots.plot_figure4(args.out)
     else:
-        raise SystemExit(f"unknown plot kind {args.kind!r}")
+        paths = plots.plot_figure4(args.out)
     return ({"files": [str(p) for p in paths]},
             [f"wrote {p}" for p in paths])
 
@@ -244,10 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("zeros", help="enumerate strip zeros")
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--count-at", type=int, default=None, metavar="J",
-                    help="evaluate at the sanctioned height T_J and check "
-                         "the count equals J")
+    height = sp.add_mutually_exclusive_group(required=True)
+    height.add_argument("--T", type=float, default=None)
+    height.add_argument("--count-at", type=int, default=None, metavar="J",
+                        help="evaluate at the sanctioned height T_J and "
+                             "check the count equals J")
     sp.set_defaults(func=cmd_zeros)
 
     sp = add("verify", help="run constant-verification suites")
@@ -288,7 +273,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"(cached: {hit['record']['timestamp']})")
             return hit.get("exit_code", 0)
 
-    results, lines = args.func(args)
+    try:
+        results, lines = args.func(args)
+    except ValueError as err:  # an input out of the library's range
+        print(f"zetaderiv {args.command}: {err}", file=sys.stderr)
+        return 2
     for line in lines:
         print(line)
 

@@ -141,6 +141,8 @@ def eval_deriv_cauchy(s: complex, k: int,
     difference. The 64-node ring is one vectorized Euler-Maclaurin pass,
     and each doubling evaluates only its new nodes, in one more pass.
     """
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
     if s.real <= 0.0:
         raise ValueError(f"Cauchy differentiation needs sigma > 0, "
                          f"got {s.real}")
@@ -181,6 +183,9 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     """
     from .zeros import Rect, winding_number
 
+    if T <= t_min:
+        raise ValueError(f"count_zeros_halfplane needs T > t_min = {t_min}, "
+                         f"got T = {T}")
     if sigma_max is None:
         if k not in SIGMA_MAX_TABLE:
             raise ValueError(f"no default sigma_max for k={k}; pass one")

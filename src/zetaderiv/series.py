@@ -3,8 +3,9 @@
 The k-th derivative is (-1)^k * sum_{n>=2} (log n)^k / n^s.  Individual terms
 span hundreds of orders of magnitude at high k, so every sum is shifted by its
 largest term exponent: eval_deriv returns one point's value as
-ScaledComplex, and eval_deriv_scaled returns plain complex values over an
-array of points, divided by a caller's scale of the same magnitude.
+ScaledComplex, and _partial_sum sums an array of points as mantissas and
+exponents.  An array summed to one cutoff takes it at its smallest sigma
+(_cutoff_from), which meets the tail test at every point.
 Truncation error is certified through the integral tail bound
 R_M^k(sigma) = M/(sigma-1) * (1 + k/((sigma-1)log M - k + 1)), valid whenever
 k - 1 < (sigma - 1) log M.
@@ -178,6 +179,19 @@ def _cutoff(k: int, sigma, eps_rel: float, cap: int, n_lo: int = 2):
     return cutoff, met, log_mag, N
 
 
+def _cutoff_from(k: int, sigma_lo: float) -> int:
+    """choose_truncation's cutoff N at the float sigma_lo (eps_rel
+    DEFAULT_EPS_REL), which meets the tail test at every sigma >= sigma_lo:
+    the test's ratio R_N(sigma) / sum_{n<=N} Q_n(sigma)/Q_N(sigma) falls as
+    sigma grows, since R_N falls and each Q_n/Q_N with n < N rises.  Raises
+    ValueError when the search ends unmet at MAX_TERMS."""
+    cutoff, met = _cutoff(k, sigma_lo, DEFAULT_EPS_REL, MAX_TERMS)[:2]
+    if not met:
+        raise ValueError(f"order-{k} series needs more than {MAX_TERMS} "
+                         f"terms at sigma = {sigma_lo}")
+    return int(cutoff)
+
+
 def choose_truncation(k: int, sigma: float, eps_rel: float,
                       max_terms: int = MAX_TERMS) -> int:
     """Smallest doubling cutoff N with certified tail <= eps_rel * sum of
@@ -226,38 +240,6 @@ def eval_deriv(s: complex, k: int,
     return EvalResult(value=value,
                       log_abs_error_bound=float(_log_tail(N, k, s.real)),
                       terms_used=N - 1)
-
-
-def eval_deriv_scaled(s: np.ndarray, k: int, log_scale: np.ndarray,
-                      eps_rel: float = DEFAULT_EPS_REL) -> np.ndarray:
-    """The k-th derivative at each point of the 1-D complex array s, divided
-    by e^log_scale (one real or complex entry per point), as plain complex
-    values.
-
-    Each point is summed to the cutoff choose_truncation gives it, under the
-    same domain guard as eval_deriv.  Raises OverflowError when a scaled
-    value is not finite or below the normal float range, i.e. when the real
-    part of log_scale is far from the log of the point's magnitude.
-    """
-    sigma, t = s.real, s.imag
-    _check_domain(k, float(sigma.min()))
-    cutoff = np.broadcast_to(_cutoff(k, sigma, eps_rel, MAX_TERMS)[0],
-                             sigma.shape)
-    out = np.empty(s.shape, dtype=complex)
-    for N in sorted(set(cutoff.tolist())):
-        group = cutoff == N
-        mant, shift = _partial_sum(k, sigma[group], t[group], 2, N)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[group] = mant * np.exp(shift - log_scale[group])
-    if k == 0:
-        out += np.exp(-log_scale)  # the n = 1 term
-    elif k % 2:
-        out = -out
-    size = np.abs(out)
-    if not np.all((size >= np.finfo(float).tiny) & (size < math.inf)):
-        raise OverflowError(f"order-{k} series values out of float range "
-                            "after scaling; the scale is off their magnitude")
-    return out
 
 
 def rounding_allowance(N, k: float, sigma, log_ref):

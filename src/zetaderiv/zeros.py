@@ -7,13 +7,15 @@ head and a certified tail bound along cell boundaries, normalized by the
 positive real Q_M(sigma).  Strip contours divide the k-th derivative by the
 complex dominant term Q_M(s) = (log M)^k M^(-s), which is entire and has no
 zeros, so winding numbers are untouched and only the fast phase M^(-it) goes.
+Each evaluator call sums all its points to one cutoff, taken at its smallest
+sigma, where the tail test is hardest.
 
 Zeros are located by one array Newton per strip: the predicted zeros of all
 the cells asked for start together, and each iteration sums the orders k and
 k+1 over the points still active in one call each.  Every sum of a strip
-runs to one cutoff, chosen at the strip's left edge, where the tail test is
-hardest.  A cell where Newton fails goes to a quadrisection fallback by
-winding number, whose restarts are the same Newton from one point.
+runs to one cutoff, chosen by the same rule at the strip's left edge.  A
+cell where Newton fails goes to a quadrisection fallback by winding number,
+whose restarts are the same Newton from one point.
 """
 from __future__ import annotations
 
@@ -24,9 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import CellRect, ComplexPoint, cell, dominant_index
-from .series import (DEFAULT_EPS_REL, MAX_TERMS, _cutoff, _partial_sum,
-                     eval_deriv_scaled, head_ratio, log_term_mag,
-                     rounding_allowance, tail_ratio_upper)
+from .series import (_check_domain, _cutoff_from, _partial_sum, head_ratio,
+                     log_term_mag, rounding_allowance, tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
@@ -190,11 +191,32 @@ def winding_number(rect: Rect, evaluator: Evaluator,
 def series_evaluator(k: int, M_ref: int) -> Evaluator:
     """Dirichlet-series evaluator divided by the complex dominant term
     Q_{M_ref}(s) = (log M_ref)^k M_ref^(-s), which has no zeros and so
-    leaves winding numbers unchanged; one series-layer call per array of
-    points."""
+    leaves winding numbers unchanged.
+
+    A call sums all its points in one _partial_sum, to the one cutoff that
+    its smallest sigma needs (_cutoff_from), as the Euler-Maclaurin contour
+    evaluator takes one cutoff per call from its largest |t|.  Same domain
+    guard as eval_deriv; raises OverflowError when a value divided by
+    Q_{M_ref}(s) is not finite or below the normal float range, i.e. when
+    the scale is far from the values' magnitude."""
 
     def f(z: np.ndarray) -> np.ndarray:
-        return eval_deriv_scaled(z, k, log_term_mag(M_ref, k, z))
+        sigma_min = float(z.real.min())
+        _check_domain(k, sigma_min)
+        mant, shift = _partial_sum(k, z.real, z.imag, 2,
+                                   _cutoff_from(k, sigma_min))
+        log_scale = log_term_mag(M_ref, k, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mant * np.exp(shift - log_scale)
+        if k == 0:
+            out += np.exp(-log_scale)  # the n = 1 term
+        elif k % 2:
+            out = -out
+        size = np.abs(out)
+        if not np.all((size >= np.finfo(float).tiny) & (size < math.inf)):
+            raise OverflowError(f"order-{k} series values out of float range "
+                                f"after division by Q_{M_ref}(s)")
+        return out
 
     return f
 
@@ -285,18 +307,8 @@ def hline_margin(M: int, k: int, j: int) -> float:
 
 def _strip_cutoff(k: int, sigma_lo: float) -> int:
     """One cutoff N for the orders k and k+1 over the whole strip whose
-    left edge is sigma_lo: the larger of their choose_truncation cutoffs at
-    sigma_lo.  It meets the tail test at every sigma >= sigma_lo, because
-    the test's ratio R_N(sigma) / sum_{n<=N} Q_n(sigma)/Q_N(sigma) falls
-    as sigma grows: R_N falls, and each Q_n/Q_N with n < N rises."""
-    N = 0
-    for order in (k, k + 1):
-        cutoff, met = _cutoff(order, sigma_lo, DEFAULT_EPS_REL, MAX_TERMS)[:2]
-        if not met:
-            raise ValueError(f"order-{order} series needs more than "
-                             f"{MAX_TERMS} terms at sigma = {sigma_lo}")
-        N = max(N, int(cutoff))
-    return N
+    left edge is sigma_lo: the larger of their _cutoff_from cutoffs."""
+    return max(_cutoff_from(k, sigma_lo), _cutoff_from(k + 1, sigma_lo))
 
 
 def _sums(k: int, z: np.ndarray, N: int):

@@ -143,3 +143,39 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
 def test_berndt_guard(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "berndt", "--k", "5", "--T", "50")
+
+
+@pytest.mark.parametrize("argv", [
+    ["berndt", "--k", "1", "--T", "0"],
+    ["berndt", "--k", "1", "--T", "-5"],
+    ["eval", "--sigma", "2", "--t", "0", "--k", "-1"],
+    ["eval", "--sigma", "0.5", "--t", "3", "--k", "-1"],
+    ["eval", "--sigma", "2", "--t", "0", "--k", "1", "--eps", "0"],
+    ["eval", "--sigma", "-1", "--t", "3", "--k", "1"],
+    ["regions", "--k", "2"],
+    ["zeros", "--M", "1", "--k", "38", "--T", "5"],
+    ["zeros", "--M", "2", "--k", "2", "--T", "5"],
+    ["zeros", "--M", "9", "--k", "38", "--T", "5"],
+    ["zeros", "--M", "2", "--k", "38", "--T", "0"],
+    ["zeros", "--M", "2", "--k", "38", "--count-at", "0"],
+    ["plot", "zeros", "--T", "0"],
+    ["plot", "regions", "--k", "2"],
+])
+def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
+    if argv[0] == "plot":
+        argv = argv + ["--out", str(tmp_path / "p")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"zetaderiv {argv[0]}: ")
+    assert "Traceback" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_zeros_takes_exactly_one_height(capsys):
+    for extra in ([], ["--T", "5", "--count-at", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["zeros", "--M", "2", "--k", "38"] + extra)
+        assert exit_info.value.code == 2
+        assert "--count-at" in capsys.readouterr().err

@@ -228,17 +228,19 @@ def test_partial_sum_in_pieces_matches_one_block(monkeypatch):
         assert np.all(np.abs(got - want) <= 1e-15 * mag)
 
 
-def test_eval_deriv_scaled_adds_the_unit_term_and_sign():
-    # k = 0 adds n = 1 and odd k flips the sign, as in eval_deriv
-    z = np.array([2.0 + 0.0j, 3.0 + 5.0j, 1.5 - 2.0j])
+def test_series_evaluator_adds_the_unit_term_and_sign():
+    # k = 0 adds n = 1 and odd k flips the sign, as in eval_deriv; one point
+    # per call, so each is summed to eval_deriv's cutoff
+    z = np.array([4.0 + 0.0j, 5.0 + 5.0j, 8.0 - 2.0j])
     for k in (0, 1, 2):
-        got = series.eval_deriv_scaled(z, k, np.zeros(3))
+        f = series_evaluator(k, M_ref=2)
+        got = [f(np.array([p]))[0] * np.exp(log_term_mag(2, k, p))
+               for p in z.tolist()]
         want = [eval_deriv(p, k).value.to_complex()
                 for p in z.tolist()]
-        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
-        series.eval_deriv_scaled(np.array([3.0, 1.0 + DELTA_MIN]), 1,
-                                 np.zeros(2))
+        series_evaluator(1, M_ref=2)(np.array([3.0, 1.0 + DELTA_MIN]) + 0j)
 
 
 def test_series_is_practical_keeps_no_memory():

@@ -90,6 +90,17 @@ def test_run_suite_dispatch():
     assert len(run_suite("m4-10")) == 21
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_verify_all_fails_exactly_the_errata_and_two_online_rows():
+    # the errata of known_errata.py, and the two remark scans that find the
+    # mid-wedge line zero-free from a lower k than published
     allc = run_suite("all")
-    assert len(allc) > 200
+    assert len(allc) == 426
     assert all(isinstance(c, ConstantCheck) for c in allc)
+    failed = {c.name: c.computed for c in allc if not c.passed}
+    errata = ({f"vk.r4_bound_k{k}" for k in R4_ERRATA_K}
+              | {f"remark.tip_ceiling_M{M}" for M in TIP_ERRATA_M})
+    assert set(failed) == errata | {"remark.online_M4", "remark.online_M5"}
+    assert failed["remark.online_M4"] == 33.0
+    assert failed["remark.online_M5"] == 68.0

@@ -157,6 +157,39 @@ def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, own_term):
     assert np.all(met)
 
 
+def test_series_evaluator_sums_a_call_to_the_cutoff_of_its_smallest_sigma(
+        monkeypatch):
+    # the cutoffs of these points on their own run from 2^18 down to 2^7:
+    # one search, at the smallest sigma as a float, and one sum over all
+    # the points to the cutoff it gives
+    z = np.array([6.0 - 3.0j, 4.0 + 1.0j, 9.0 + 20.0j])
+    N = choose_truncation(3, 4.0, DEFAULT_EPS_REL)
+    assert N > choose_truncation(3, 9.0, DEFAULT_EPS_REL)
+    searches, sums = [], []
+
+    def cutoff_spy(k, sigma, *args, **kwargs):
+        searches.append(sigma)
+        return _cutoff(k, sigma, *args, **kwargs)
+
+    def sum_spy(k, sigma, t, n_lo, n_hi):
+        sums.append((np.shape(sigma), n_lo, n_hi))
+        return _partial_sum(k, sigma, t, n_lo, n_hi)
+
+    monkeypatch.setattr(series, "_cutoff", cutoff_spy)
+    monkeypatch.setattr(zeros, "_partial_sum", sum_spy)
+    series_evaluator(3, M_ref=2)(z)
+    assert len(searches) == 1 and isinstance(searches[0], float)
+    assert searches[0] == 4.0
+    assert sums == [(z.shape, 2, N)]
+
+
+def test_series_evaluator_raises_where_the_search_ends_unmet():
+    # at sigma = 1.1 the order-1 tail test is not met within MAX_TERMS
+    assert not _cutoff(1, 1.1, DEFAULT_EPS_REL, MAX_TERMS)[1]
+    with pytest.raises(ValueError, match="more than"):
+        series_evaluator(1, M_ref=2)(np.array([1.1 + 5.0j, 3.0 + 1.0j]))
+
+
 def test_off_strip_scale_raises_instead_of_overflowing():
     # normalizing by Q_2 inside strip S_40 at k = 10^5 puts the values
     # hundreds of orders of magnitude beyond the float range

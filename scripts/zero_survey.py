@@ -3,9 +3,8 @@
 of each existing strip at the given k and summarize how tightly they hug
 the predicted line sigma = q_M k and the predicted ordinates."""
 import argparse
-import math
 
-from zetaderiv.geometry import layout, q_value
+from zetaderiv.geometry import layout
 from zetaderiv.zeros import enumerate_zeros
 
 
@@ -20,9 +19,8 @@ def main() -> None:
     for sp in layout(k)[1]:
         M = sp.M
         records, n = enumerate_zeros(M, k, args.periods * sp.period)
-        devs = [abs(r.location.sigma - q_value(M) * k) for r in records]
-        dts = [abs(r.location.t - (2 * r.j + 1) * math.pi / sp.delta)
-               for r in records]
+        devs = [abs(r.location.sigma - r.predicted.sigma) for r in records]
+        dts = [abs(r.location.t - r.predicted.t) for r in records]
         print(f"S_{M} (center {sp.center_sigma:.3f}): {n} zeros, "
               f"max |sigma - q_M k| = {max(devs):.2e}, "
               f"max ordinate deviation = {max(dts):.2e}")

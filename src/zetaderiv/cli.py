@@ -1,5 +1,8 @@
 """Command-line front end: evaluation, region queries, zero enumeration,
-verification suites, plot emission, and an append-only results cache."""
+verification suites, plot emission, and an append-only results cache.
+The exit code follows from a command's results alone: 1 for a failed check
+or a count other than the one asked for, 2 for a ValueError (one stderr
+line).  Cache keys include a digest of the package's sources."""
 from __future__ import annotations
 
 import argparse
@@ -8,7 +11,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, continuation, plots, verify
@@ -21,17 +24,17 @@ _LN10 = math.log(10.0)
 DEFAULT_CACHE = "zeta-cache.jsonl"
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    command: str
-    parameters: dict
-    timestamp: str
-    results_digest: str
-
-
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _source_digest() -> str:
+    """sha256 over the package's *.py sources, by file name."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def _decimal_parts(v: ScaledComplex) -> tuple[complex, int]:
@@ -42,11 +45,6 @@ def _decimal_parts(v: ScaledComplex) -> tuple[complex, int]:
     e10 = math.floor(d)
     unit = v.mantissa / abs(v.mantissa)
     return unit * 10.0 ** (d - e10), e10
-
-
-def _fmt_scaled(v: ScaledComplex, digits: int = 15) -> str:
-    m, e = _decimal_parts(v)
-    return (f"({m.real:+.{digits}f}{m.imag:+.{digits}f}j) x 10^{e}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +71,7 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
         "terms_used": res.terms_used,
     }
     lines = [
-        f"value      = {_fmt_scaled(res.value)}   [{route}]",
+        f"value      = ({m.real:+.15f}{m.imag:+.15f}j) x 10^{e}   [{route}]",
         f"|error| <= 10^{results['abs_error_bound_log10']:.2f}",
         f"terms used = {res.terms_used}",
     ]
@@ -139,7 +137,7 @@ def cmd_plot(args) -> tuple[dict, list[str]]:
         paths = plots.plot_regions(args.k, args.out)
     elif args.kind == "zeros":
         if args.T is None:
-            raise SystemExit("plot zeros needs --T")
+            raise ValueError("plot zeros needs --T")
         paths = plots.plot_zeros(args.M, args.k, args.T, args.out)
     elif args.kind == "figure2":
         paths = plots.plot_figure2(args.out)
@@ -151,10 +149,10 @@ def cmd_plot(args) -> tuple[dict, list[str]]:
 
 def cmd_berndt(args) -> tuple[dict, list[str]]:
     if args.k > 3:
-        raise SystemExit("the heuristic continuation is only trusted for "
+        raise ValueError("the heuristic continuation is only trusted for "
                          f"k <= 3, got k={args.k}")
     if args.T > 200:
-        raise SystemExit(f"T <= 200 supported, got {args.T}")
+        raise ValueError(f"T <= 200 supported, got {args.T}")
     n_k = continuation.count_zeros_halfplane(args.k, args.T, 0.05)
     n_0 = continuation.count_zeros_halfplane(0, args.T, 0.05)
     main_term = n_0 - (args.T / TWO_PI * math.log(2.0) if args.k else 0.0)
@@ -259,13 +257,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "cache", "use_cache") and v is not None}
-    key = _digest({"command": args.command, "parameters": params,
-                   "version": __version__})
 
-    cache_path = None
+    cache_path = key = None
     if args.use_cache or args.cache is not None:
         cache_path = Path(args.cache or DEFAULT_CACHE)
-    if args.use_cache and cache_path is not None:
+        key = _digest({"command": args.command, "parameters": params,
+                       "version": __version__, "source": _source_digest()})
+    if args.use_cache:
         hit = _cache_lookup(cache_path, key)
         if hit is not None:
             for line in hit["lines"]:
@@ -280,19 +278,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for line in lines:
         print(line)
-
-    exit_code = 0
-    if args.command == "verify" and results["failures"]:
-        exit_code = 1
-    if args.command == "zeros" and "expected" in results:
-        exit_code = 1
+    # a failed check, or a count other than the one asked for
+    exit_code = 1 if results.get("failures") or "expected" in results else 0
 
     if cache_path is not None:
-        record = RunRecord(
-            command=args.command, parameters=params,
-            timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-            results_digest=_digest(results))
-        _cache_append(cache_path, {"key": key, "record": asdict(record),
+        record = {"command": args.command, "parameters": params,
+                  "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+                  "results_digest": _digest(results)}
+        _cache_append(cache_path, {"key": key, "record": record,
                                    "results": results, "lines": lines,
                                    "exit_code": exit_code})
     return exit_code

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import zeros
 from .scaled import ScaledComplex
 from .series import EvalResult
 
@@ -181,8 +182,6 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     zeta^(k), whose error control is heuristic.  A contour that passes too
     close to a zero raises ZeroOnContourError.
     """
-    from .zeros import Rect, winding_number
-
     if T <= t_min:
         raise ValueError(f"count_zeros_halfplane needs T > t_min = {t_min}, "
                          f"got T = {T}")
@@ -193,6 +192,6 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     # small outward margin: the table values are suprema of zero real parts,
     # so a zero may sit arbitrarily close to the line itself
     sigma_hi = sigma_max + 0.05
-    return winding_number(Rect(sigma_min, sigma_hi, t_min, T),
-                          lambda z: _zeta_em(z, 1e-9, k)[0],
-                          sample_density=8.0).count
+    return zeros.winding_number(zeros.Rect(sigma_min, sigma_hi, t_min, T),
+                                lambda z: _zeta_em(z, 1e-9, k)[0],
+                                sample_density=8.0).count

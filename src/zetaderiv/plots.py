@@ -2,7 +2,9 @@
 
 SVG output is self-contained and uses one user unit per unit of sigma and t,
 with t increasing upward.  CSV numbers are written with 17 significant digits
-so re-parsing reproduces the plotted coordinates exactly.
+so re-parsing reproduces the plotted coordinates exactly.  Every zero map
+(plot_zeros, plot_figure2, plot_figure4) is one renderer over a list of
+(M, k, T) strip panels.
 """
 from __future__ import annotations
 
@@ -133,37 +135,54 @@ ZERO_HEADER = ("M", "k", "j", "sigma", "t", "predicted_sigma", "predicted_t",
                "residual", "simplicity_margin")
 
 
-def plot_zeros(M: int, k: int, T: float, out_prefix: str | Path) -> list[Path]:
-    """Located zeros of strip S_M up to height T, as CSV and an SVG map."""
-    records, _ = enumerate_zeros(M, k, T)
+def _strip_figure(panels: Sequence[tuple[int, int, float]],
+                  out_prefix: str | Path) -> list[Path]:
+    """CSV of the located zeros of each (M, k, T) panel, in order, and an
+    SVG with the panels side by side: strip S_M up to height T, its center
+    line, its cell lines, the predicted (gray) and located (red) zero of
+    each cell, and a label.  Every zero is located before a file is
+    written."""
+    drawn = [(strip(M, k), enumerate_zeros(M, k, T)[0], T)
+             for M, k, T in panels]
     prefix = Path(out_prefix)
     csv_path = prefix.with_suffix(".csv")
-    write_csv(csv_path, ZERO_HEADER, _zero_rows(records))
+    write_csv(csv_path, ZERO_HEADER,
+              [row for _, records, _ in drawn for row in _zero_rows(records)])
 
-    sp = strip(M, k)
-    s_lo = sp.center_sigma - sp.half_width - 1
-    s_hi = sp.center_sigma + sp.half_width + 1
-    canvas = SvgCanvas((s_lo, s_hi), (0.0, T * 1.02),
-                       scale=max(1.0, 40.0 / (s_hi - s_lo)))
-    canvas.rect(sp.center_sigma - sp.half_width, 0.0,
-                sp.center_sigma + sp.half_width, T, fill="steelblue")
-    canvas.line(sp.center_sigma, 0.0, sp.center_sigma, T, color="navy",
-                dash="0.5,0.5")
-    for r in records:
-        canvas.dot(r.predicted.sigma, r.predicted.t, color="gray",
-                   radius=0.08)
-        canvas.dot(r.location.sigma, r.location.t, color="red")
+    pane_w = 4.0 * max(sp.half_width for sp, _, _ in drawn)
+    t_max = max(T for _, _, T in drawn)
+    canvas = SvgCanvas((0.0, pane_w * len(drawn)), (0.0, t_max * 1.05),
+                       scale=max(1.0, 60.0 / pane_w))
+    for idx, (sp, records, T) in enumerate(drawn):
+        center = (idx + 0.5) * pane_w
+        off = center - sp.center_sigma
+        lo, hi = center - sp.half_width, center + sp.half_width
+        canvas.rect(lo, 0.0, hi, T, fill="steelblue")
+        canvas.line(center, 0.0, center, T, color="navy", dash="0.5,0.5")
+        j = 0
+        while TWO_PI * j / sp.delta <= T:
+            t_line = TWO_PI * j / sp.delta
+            canvas.line(lo, t_line, hi, t_line, color="darkgreen", width=0.03)
+            j += 1
+        for r in records:
+            canvas.dot(off + r.predicted.sigma, r.predicted.t, color="gray",
+                       radius=0.08)
+            canvas.dot(off + r.location.sigma, r.location.t)
+        canvas.text(lo, t_max * 1.02, f"S{sp.M} k={sp.k}")
     svg_path = prefix.with_suffix(".svg")
     canvas.save(svg_path)
     return [csv_path, svg_path]
 
 
+def plot_zeros(M: int, k: int, T: float, out_prefix: str | Path) -> list[Path]:
+    """Located zeros of strip S_M up to height T, as CSV and an SVG map."""
+    return _strip_figure([(M, k, T)], out_prefix)
+
+
 def plot_figure2(out_prefix: str | Path, k: int = 38,
                  periods: int = 5) -> list[Path]:
     """The k = 38 layout: strip S_2 with one zero marker per cell."""
-    sp = strip(2, k)
-    T = periods * sp.period
-    return plot_zeros(2, k, T, out_prefix)
+    return plot_zeros(2, k, periods * strip(2, k).period, out_prefix)
 
 
 def plot_figure4(out_prefix: str | Path,
@@ -171,39 +190,5 @@ def plot_figure4(out_prefix: str | Path,
                  periods: int = 3) -> list[Path]:
     """Side-by-side strip S_2 panels for several orders k, each with its
     first few zeros and the zero-free cell lines."""
-    prefix = Path(out_prefix)
-    all_rows = []
-    panels = []
-    for k in ks:
-        sp = strip(2, k)
-        T = periods * sp.period
-        records, _ = enumerate_zeros(2, k, T)
-        all_rows.extend(_zero_rows(records))
-        panels.append((k, sp, records, T))
-    csv_path = prefix.with_suffix(".csv")
-    write_csv(csv_path, ZERO_HEADER, all_rows)
-
-    pane_w = 4.0 * max(sp.half_width for _, sp, _, _ in panels)
-    t_max = max(T for _, _, _, T in panels)
-    canvas = SvgCanvas((0.0, pane_w * len(panels)), (0.0, t_max * 1.05),
-                       scale=max(1.0, 60.0 / pane_w))
-    for idx, (k, sp, records, T) in enumerate(panels):
-        off = idx * pane_w + 0.5 * pane_w - sp.center_sigma
-        canvas.rect(off + sp.center_sigma - sp.half_width, 0.0,
-                    off + sp.center_sigma + sp.half_width, T,
-                    fill="steelblue")
-        delta = sp.delta
-        j = 0
-        while TWO_PI * j / delta <= T:
-            t_line = TWO_PI * j / delta
-            canvas.line(off + sp.center_sigma - sp.half_width, t_line,
-                        off + sp.center_sigma + sp.half_width, t_line,
-                        color="darkgreen", width=0.03)
-            j += 1
-        for r in records:
-            canvas.dot(off + r.location.sigma, r.location.t)
-        canvas.text(off + sp.center_sigma - sp.half_width,
-                    t_max * 1.02, f"k={k}")
-    svg_path = prefix.with_suffix(".svg")
-    canvas.save(svg_path)
-    return [csv_path, svg_path]
+    return _strip_figure([(2, k, periods * strip(2, k).period) for k in ks],
+                         out_prefix)

@@ -15,7 +15,10 @@ the cells asked for start together, and each iteration sums the orders k and
 k+1 over the points still active in one call each.  Every sum of a strip
 runs to one cutoff, chosen by the same rule at the strip's left edge.  A
 cell where Newton fails goes to a quadrisection fallback by winding number,
-whose restarts are the same Newton from one point.
+whose restarts are the same Newton from one point.  A record's residual and
+simplicity margin are the order-k and order-(k+1) sums at its zero divided
+by their largest term: a sum's exponent is its largest term, Q_n(sigma) at
+the dominant index n, so these are the moduli of its mantissas.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import CellRect, ComplexPoint, cell, dominant_index
+from .geometry import CellRect, ComplexPoint, cell
 from .series import (_check_domain, _cutoff_from, _partial_sum, head_ratio,
                      log_term_mag, rounding_allowance, tail_ratio_upper)
 
@@ -412,23 +415,15 @@ def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
     t_pred = (2 * j + 1) * math.pi / sp.delta
     z, iters = _newton(sp.center_sigma + 1j * t_pred, k, N, c0.sigma_range,
                        t_lo, t_hi)
-    t_pred = t_pred.tolist()
     for i in np.flatnonzero(iters == 0).tolist():
         z[i], iters[i] = _fallback(M, k, js[i], N)
-    (m_k, e_k), (m_k1, e_k1) = _sums(k, z, N)
-    log_k, log_k1 = np.log(np.abs(m_k)) + e_k, np.log(np.abs(m_k1)) + e_k1
-    records = []
-    for i, (s, t) in enumerate(zip(z.real.tolist(), z.imag.tolist())):
-        # normalized by Q_n(sigma), n the dominant index at s of each order
-        records.append(ZeroRecord(
-            location=ComplexPoint(s, t), M=M, k=k, j=js[i],
-            residual=math.exp(log_k[i] - log_term_mag(
-                dominant_index(s, k), k, s)),
-            simplicity_margin=math.exp(log_k1[i] - log_term_mag(
-                dominant_index(s, k + 1), k + 1, s)),
-            newton_iters=int(iters[i]),
-            predicted=ComplexPoint(sp.center_sigma, t_pred[i])))
-    return records
+    (m_k, _), (m_k1, _) = _sums(k, z, N)
+    return [ZeroRecord(location=ComplexPoint(s, t), M=M, k=k, j=jc,
+                       residual=r, simplicity_margin=g, newton_iters=n,
+                       predicted=ComplexPoint(sp.center_sigma, tp))
+            for jc, s, t, r, g, n, tp in zip(
+                js, z.real.tolist(), z.imag.tolist(), np.abs(m_k).tolist(),
+                np.abs(m_k1).tolist(), iters.tolist(), t_pred.tolist())]
 
 
 def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
@@ -453,7 +448,11 @@ def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     if T <= 0.0:
         raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
     delta = cell(M, k, 0).strip.delta
+    # the cells whose lower line (cell's formula) is below T; the ceiling
+    # alone can round up past a T on a line
     j_max = math.ceil(T * delta / TWO_PI)
+    if TWO_PI * (j_max - 1) / delta >= T:
+        j_max -= 1
     located = _locate(M, k, list(range(j_max)))
     records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

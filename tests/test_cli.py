@@ -1,9 +1,11 @@
 import json
 import math
+from xml.etree import ElementTree
 
 import pytest
 
 from zetaderiv import cli, plots
+from zetaderiv.geometry import strip
 
 
 def run(capsys, *argv):
@@ -75,6 +77,50 @@ def test_plot_roundtrip(tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg")
 
 
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _panels(svg_path):
+    """The elements of each strip panel of a zero map, assigned to the
+    panel whose strip rectangle spans their x."""
+    root = ElementTree.parse(svg_path).getroot()
+    panels = []
+    for r in root.iter(_SVG + "rect"):
+        x = float(r.get("x"))
+        panels.append((x, x + float(r.get("width")), []))
+    for el in root:
+        if el.tag != _SVG + "rect":
+            x = float(el.get("cx") or el.get("x1") or el.get("x"))
+            [found] = [els for lo, hi, els in panels if lo <= x <= hi]
+            found.append(el)
+    return [els for _, _, els in panels]
+
+
+@pytest.mark.parametrize("figure", ["zeros", "figure4"])
+def test_every_strip_panel_draws_the_same_parts(figure, tmp_path):
+    if figure == "zeros":
+        panels = [(2, 38, 40.0)]
+        csv_path, svg_path = plots.plot_zeros(2, 38, 40.0, tmp_path / "z")
+    else:
+        panels = [(2, k, 3 * strip(2, k).period) for k in (100, 200)]
+        csv_path, svg_path = plots.plot_figure4(tmp_path / "f", ks=(100, 200))
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    drawn = _panels(svg_path)
+    assert len(drawn) == len(panels)
+    for (M, k, T), els in zip(panels, drawn):
+        tags = [el.tag[len(_SVG):] for el in els]
+        strokes = [el.get("stroke") for el in els]
+        fills = [el.get("fill") for el in els if el.tag == _SVG + "circle"]
+        n_lines = sum(2 * math.pi * j / strip(M, k).delta <= T
+                      for j in range(100))
+        n_records = sum(row[:2] == [str(M), str(k)] for row in rows)
+        assert n_records > 0
+        assert strokes.count("navy") == 1  # the center line
+        assert strokes.count("darkgreen") == n_lines
+        assert fills.count("gray") == fills.count("red") == n_records
+        assert tags.count("text") == 1
+
+
 def test_plot_regions(tmp_path, capsys):
     prefix = tmp_path / "regions"
     code, _ = run(capsys, "plot", "regions", "--k", "100",
@@ -128,6 +174,37 @@ def test_cache_key_includes_version(tmp_path, capsys, monkeypatch):
     assert "(cached:" not in out
 
 
+def test_cache_key_includes_the_source_digest(tmp_path, capsys, monkeypatch):
+    # an entry written by other code is a miss, whatever __version__ says
+    args = ["regions", "--k", "38", "--cache", str(tmp_path / "c.jsonl")]
+    run(capsys, *args)
+    code, out = run(capsys, *args, "--use-cache")
+    assert "(cached:" in out
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    code, out = run(capsys, *args, "--use-cache")
+    assert code == 0
+    assert "(cached:" not in out
+
+
+def test_no_source_digest_without_a_cache(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("sources hashed without a cache")
+
+    monkeypatch.setattr(cli, "_source_digest", refuse)
+    code, out = run(capsys, "regions", "--k", "38")
+    assert code == 0
+
+
+@pytest.mark.parametrize("results,code", [
+    ({"failures": 2}, 1), ({"failures": 0}, 0), ({"expected": 5}, 1),
+    ({"count": 1}, 0)])
+def test_exit_code_follows_the_results(results, code, capsys, monkeypatch):
+    # a failed check or a count other than the one asked for, whatever the
+    # command
+    monkeypatch.setattr(cli, "cmd_regions", lambda args: (results, ["x"]))
+    assert run(capsys, "regions", "--k", "38") == (code, "x\n")
+
+
 def test_cache_skips_corrupt_lines(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     cache.write_text('{"key": "x"\n[1, 2]\n')
@@ -138,11 +215,6 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     code, out2 = run(capsys, *args)
     assert "(cached:" in out2
     assert out1.strip() in out2
-
-
-def test_berndt_guard(capsys):
-    with pytest.raises(SystemExit):
-        run(capsys, "berndt", "--k", "5", "--T", "50")
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,6 +232,10 @@ def test_berndt_guard(capsys):
     ["zeros", "--M", "2", "--k", "38", "--count-at", "0"],
     ["plot", "zeros", "--T", "0"],
     ["plot", "regions", "--k", "2"],
+    # the continuation's caps and the one height plot zeros needs
+    ["berndt", "--k", "5", "--T", "50"],
+    ["berndt", "--k", "1", "--T", "300"],
+    ["plot", "zeros"],
 ])
 def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     if argv[0] == "plot":

@@ -1,14 +1,16 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetaderiv import series, zeros
-from zetaderiv.geometry import (ComplexPoint, cell, layout, q_value, strip,
-                                wedge)
+from zetaderiv import geometry, series, zeros
+from zetaderiv.geometry import (ComplexPoint, cell, dominant_index, layout,
+                                q_value, strip, wedge)
 from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (DEFAULT_EPS_REL, MAX_TERMS, _cutoff,
                               _partial_sum, choose_truncation, eval_deriv,
@@ -19,6 +21,9 @@ from zetaderiv.zeros import (INIT_SAMPLES_PER_EDGE, MAX_SUBDIV_DEPTH, Rect,
                              rouche_certificate, series_evaluator,
                              strip_certificate, winding_number)
 
+# the strips of the benchmark's fault-cell survey
+CELLS = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+         / "cells.json")
 
 def _poly_evaluator(root: complex, power: int = 1):
     def f(z: np.ndarray) -> np.ndarray:
@@ -473,6 +478,49 @@ def test_locate_zero_matches_enumerate_zeros(M, k):
     assert n == 40
     for rec in records:
         assert locate_zero(M, k, rec.j) == rec, rec.j
+
+
+@pytest.mark.parametrize("M,k", [(2, 38), (3, 400), (4, 1156)])
+def test_record_residual_and_margin_are_the_sums_mantissas(M, k):
+    # each sum's exponent is its largest term, so |mantissa| is the sum
+    # normalized by Q_n(sigma) at the dominant index
+    records, _ = enumerate_zeros(M, k, _count_at(M, k, 12))
+    z = np.array([r.location.to_complex() for r in records])
+    N = zeros._strip_cutoff(k, cell(M, k, 0).sigma_range[0])
+    (m_k, _), (m_k1, _) = zeros._sums(k, z, N)
+    assert [r.residual for r in records] == np.abs(m_k).tolist()
+    assert [r.simplicity_margin for r in records] == np.abs(m_k1).tolist()
+
+
+def test_enumerate_zeros_makes_no_dominant_index_call(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return dominant_index(*args)
+
+    monkeypatch.setattr(geometry, "dominant_index", spy)
+    monkeypatch.setattr(zeros, "dominant_index", spy, raising=False)
+    records, n = enumerate_zeros(2, 38, _count_at(2, 38, 10))
+    assert n == 10
+    assert calls == []
+
+
+def test_count_at_locates_exactly_the_cells_below_it(monkeypatch):
+    # J = 40 puts T on the lower line of cell 40, where T * delta / (2 pi)
+    # can round up past 40
+    asked = []
+
+    def spy(M, k, js):
+        asked.append(((M, k), js))
+        return []
+
+    monkeypatch.setattr(zeros, "_locate", spy)
+    strips = json.loads(CELLS.read_text())["strips"]
+    for s in strips:
+        enumerate_zeros(s["M"], s["k"], _count_at(s["M"], s["k"], 40))
+    assert len(asked) == len(strips)
+    assert [mk for mk, js in asked if js != list(range(40))] == []
 
 
 @pytest.mark.parametrize("where", ["start", "cell"])

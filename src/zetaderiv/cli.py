@@ -1,40 +1,23 @@
 """Command-line front end: evaluation, region queries, zero enumeration,
-verification suites, plot emission, and an append-only results cache.
-The exit code follows from a command's results alone: 1 for a failed check
-or a count other than the one asked for, 2 for a ValueError (one stderr
-line).  Cache keys include a digest of the package's sources."""
+verification suites and plot emission.  Each command computes its results
+afresh and stores nothing.  The exit code follows from a command's results
+alone: 1 for a failed check or a count other than the one asked for, 2 for a
+ValueError (one stderr line); any other exception propagates."""
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
-import hashlib
 import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
-from . import __version__, continuation, plots, verify
+from . import continuation, plots, verify
 from .geometry import TWO_PI, count_strips, layout, strip
 from .scaled import ScaledComplex
 from .series import eval_deriv, series_is_practical
 from .zeros import enumerate_zeros
 
 _LN10 = math.log(10.0)
-DEFAULT_CACHE = "zeta-cache.jsonl"
-
-
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _source_digest() -> str:
-    """sha256 over the package's *.py sources, by file name."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
 
 
 def _decimal_parts(v: ScaledComplex) -> tuple[complex, int]:
@@ -168,50 +151,17 @@ def cmd_berndt(args) -> tuple[dict, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher and cache
-
-
-def _cache_lookup(path: Path, key: str) -> dict | None:
-    if not path.exists():
-        return None
-    with path.open() as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError:  # a truncated or corrupt entry
-                continue
-            if isinstance(rec, dict) and rec.get("key") == key:
-                return rec
-    return None
-
-
-def _cache_append(path: Path, entry: dict) -> None:
-    with path.open("a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+# dispatcher
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", default=None, metavar="PATH",
-                        help=f"append-only results cache (default "
-                             f"{DEFAULT_CACHE} when --use-cache is set)")
-    common.add_argument("--use-cache", action="store_true",
-                        help="return cached results for identical "
-                             "invocations")
-
     p = argparse.ArgumentParser(
         prog="zetaderiv",
         description="Zero-free regions, critical strips, and zeros of "
                     "derivatives of the Riemann zeta function.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    sp = add("eval", help="evaluate the k-th derivative at s")
+    sp = sub.add_parser("eval", help="evaluate the k-th derivative at s")
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--k", type=int, required=True)
@@ -219,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="target relative accuracy")
     sp.set_defaults(func=cmd_eval)
 
-    sp = add("regions", help="wedges and strips at order k")
+    sp = sub.add_parser("regions", help="wedges and strips at order k")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(func=cmd_regions)
 
-    sp = add("zeros", help="enumerate strip zeros")
+    sp = sub.add_parser("zeros", help="enumerate strip zeros")
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     height = sp.add_mutually_exclusive_group(required=True)
@@ -233,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "check the count equals J")
     sp.set_defaults(func=cmd_zeros)
 
-    sp = add("verify", help="run constant-verification suites")
+    sp = sub.add_parser("verify", help="run constant-verification suites")
     sp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     sp.set_defaults(func=cmd_verify)
 
-    sp = add("plot", help="emit CSV + SVG plot data")
+    sp = sub.add_parser("plot", help="emit CSV + SVG plot data")
     sp.add_argument("kind", choices=["zeros", "regions", "figure2",
                                      "figure4"])
     sp.add_argument("--out", required=True, help="output path prefix")
@@ -246,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float, default=None)
     sp.set_defaults(func=cmd_plot)
 
-    sp = add("berndt", help="compare N_k(T) with its main term")
+    sp = sub.add_parser("berndt", help="compare N_k(T) with its main term")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--T", type=float, required=True)
     sp.set_defaults(func=cmd_berndt)
@@ -255,22 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "cache", "use_cache") and v is not None}
-
-    cache_path = key = None
-    if args.use_cache or args.cache is not None:
-        cache_path = Path(args.cache or DEFAULT_CACHE)
-        key = _digest({"command": args.command, "parameters": params,
-                       "version": __version__, "source": _source_digest()})
-    if args.use_cache:
-        hit = _cache_lookup(cache_path, key)
-        if hit is not None:
-            for line in hit["lines"]:
-                print(line)
-            print(f"(cached: {hit['record']['timestamp']})")
-            return hit.get("exit_code", 0)
-
     try:
         results, lines = args.func(args)
     except ValueError as err:  # an input out of the library's range
@@ -279,16 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     for line in lines:
         print(line)
     # a failed check, or a count other than the one asked for
-    exit_code = 1 if results.get("failures") or "expected" in results else 0
-
-    if cache_path is not None:
-        record = {"command": args.command, "parameters": params,
-                  "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-                  "results_digest": _digest(results)}
-        _cache_append(cache_path, {"key": key, "record": record,
-                                   "results": results, "lines": lines,
-                                   "exit_code": exit_code})
-    return exit_code
+    return 1 if results.get("failures") or "expected" in results else 0
 
 
 if __name__ == "__main__":

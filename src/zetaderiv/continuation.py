@@ -96,6 +96,8 @@ def _zeta_em(s: np.ndarray, eps: float,
     error estimate."""
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
+    if not eps > 0.0:  # NaN too
+        raise ValueError(f"error tolerance must be positive, got {eps}")
     if np.count_nonzero(s.real <= 0.0):
         raise ValueError(f"Euler-Maclaurin evaluation needs sigma > 0, "
                          f"got {float(s.real.min())}")
@@ -182,6 +184,8 @@ def count_zeros_halfplane(k: int, T: float, sigma_min: float,
     zeta^(k), whose error control is heuristic.  A contour that passes too
     close to a zero raises ZeroOnContourError.
     """
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
     if T <= t_min:
         raise ValueError(f"count_zeros_halfplane needs T > t_min = {t_min}, "
                          f"got T = {T}")

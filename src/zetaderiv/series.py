@@ -162,7 +162,7 @@ def _cutoff(k: int, sigma, eps_rel: float, cap: int, n_lo: int = 2):
     if np.count_nonzero(sigma <= 1.0):
         raise ValueError(f"series truncation needs sigma > 1, got "
                          f"{np.min(sigma)}")
-    if eps_rel <= 0.0:
+    if not eps_rel > 0.0:  # NaN too
         raise ValueError(f"eps_rel must be positive, got {eps_rel}")
     log_eps = math.log(eps_rel)
     N = n_lo + 14

@@ -28,12 +28,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import CellRect, ComplexPoint, cell
+from .geometry import TWO_PI, CellRect, ComplexPoint, cell
 from .series import (_check_domain, _cutoff_from, _partial_sum, head_ratio,
                      log_term_mag, rounding_allowance, tail_ratio_upper)
 
 HALF_PI = math.pi / 2.0
-TWO_PI = 2.0 * math.pi
 # a contour sample below this fraction of its neighbours' modulus is treated
 # as a zero sitting (numerically) on the contour
 REL_ZERO_FLOOR = math.log(1e-8)

@@ -4,7 +4,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from zetaderiv import cli, plots
+from zetaderiv import cli, plots, zeros
 from zetaderiv.geometry import strip
 
 
@@ -140,61 +140,6 @@ def test_plot_regions_lists_every_strip_and_wedge(tmp_path):
     assert kinds.count("wedge") == 52
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache.jsonl"
-    args = ["regions", "--k", "38", "--cache", str(cache)]
-    code, out1 = run(capsys, *args)
-    assert code == 0
-    entries = [json.loads(l) for l in cache.read_text().splitlines()]
-    assert len(entries) == 1
-    assert entries[0]["record"]["command"] == "regions"
-    assert len(entries[0]["record"]["results_digest"]) == 64
-
-    code, out2 = run(capsys, *args, "--use-cache")
-    assert code == 0
-    assert "(cached:" in out2
-    assert out1.strip() in out2
-
-    # identical invocations produce identical digests
-    run(capsys, *args)
-    entries = [json.loads(l) for l in cache.read_text().splitlines()]
-    assert len(entries) == 2
-    assert (entries[0]["record"]["results_digest"]
-            == entries[1]["record"]["results_digest"])
-
-
-def test_cache_key_includes_version(tmp_path, capsys, monkeypatch):
-    args = ["regions", "--k", "38", "--cache", str(tmp_path / "c.jsonl")]
-    run(capsys, *args)
-    code, out = run(capsys, *args, "--use-cache")
-    assert "(cached:" in out
-    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    code, out = run(capsys, *args, "--use-cache")
-    assert code == 0
-    assert "(cached:" not in out
-
-
-def test_cache_key_includes_the_source_digest(tmp_path, capsys, monkeypatch):
-    # an entry written by other code is a miss, whatever __version__ says
-    args = ["regions", "--k", "38", "--cache", str(tmp_path / "c.jsonl")]
-    run(capsys, *args)
-    code, out = run(capsys, *args, "--use-cache")
-    assert "(cached:" in out
-    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
-    code, out = run(capsys, *args, "--use-cache")
-    assert code == 0
-    assert "(cached:" not in out
-
-
-def test_no_source_digest_without_a_cache(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("sources hashed without a cache")
-
-    monkeypatch.setattr(cli, "_source_digest", refuse)
-    code, out = run(capsys, "regions", "--k", "38")
-    assert code == 0
-
-
 @pytest.mark.parametrize("results,code", [
     ({"failures": 2}, 1), ({"failures": 0}, 0), ({"expected": 5}, 1),
     ({"count": 1}, 0)])
@@ -203,18 +148,6 @@ def test_exit_code_follows_the_results(results, code, capsys, monkeypatch):
     # command
     monkeypatch.setattr(cli, "cmd_regions", lambda args: (results, ["x"]))
     assert run(capsys, "regions", "--k", "38") == (code, "x\n")
-
-
-def test_cache_skips_corrupt_lines(tmp_path, capsys):
-    cache = tmp_path / "c.jsonl"
-    cache.write_text('{"key": "x"\n[1, 2]\n')
-    args = ["regions", "--k", "38", "--cache", str(cache), "--use-cache"]
-    code, out1 = run(capsys, *args)
-    assert code == 0
-    assert "(cached:" not in out1
-    code, out2 = run(capsys, *args)
-    assert "(cached:" in out2
-    assert out1.strip() in out2
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,6 +169,11 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     ["berndt", "--k", "5", "--T", "50"],
     ["berndt", "--k", "1", "--T", "300"],
     ["plot", "zeros"],
+    # eps > 0 on every route: Euler-Maclaurin, Cauchy circles, and the
+    # series' practicality probe
+    *(["eval", "--sigma", "1.02", "--t", "1", "--k", k, "--eps", eps]
+      for k in ("0", "1") for eps in ("0", "-1", "nan")),
+    ["eval", "--sigma", "1.5", "--t", "1", "--k", "2", "--eps", "nan"],
 ])
 def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     if argv[0] == "plot":
@@ -247,6 +185,30 @@ def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"zetaderiv {argv[0]}: ")
     assert "Traceback" not in captured.err
     assert not any(tmp_path.iterdir())
+
+
+def test_berndt_rejects_a_negative_order(capsys):
+    assert cli.main(["berndt", "--k", "-1", "--T", "50"]) == 2
+    assert "derivative order" in capsys.readouterr().err
+
+
+def test_locate_error_propagates(monkeypatch):
+    # only a ValueError becomes an exit code; a cell Newton cannot locate
+    # must reach the caller
+    def fail(M, k, T):
+        raise zeros.LocateError(0j, "no convergence in cell (injected)")
+
+    monkeypatch.setattr(cli, "enumerate_zeros", fail)
+    with pytest.raises(zeros.LocateError):
+        cli.main(["zeros", "--M", "2", "--k", "38", "--count-at", "2"])
+
+
+def test_removed_cache_options_are_usage_errors(capsys):
+    for option in ("--use-cache", "--cache=c.jsonl"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["regions", "--k", "38", option])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_zeros_takes_exactly_one_height(capsys):

@@ -56,6 +56,9 @@ def test_eval_zeta_em_guards():
         eval_zeta_em(complex(-0.5, 3.0))
     with pytest.raises(ValueError):
         eval_zeta_em(complex(1.0, 0.0))
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            eval_zeta_em(complex(1.02, 1.0), eps)
 
 
 @pytest.mark.parametrize("sigma,t,k", [

@@ -112,6 +112,12 @@ def test_tail_bound_validity_flag():
     assert tail_bound(2, 50, 3.0) == math.inf
 
 
+def test_truncation_needs_a_positive_tolerance():
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            choose_truncation(2, 1.5, eps)
+
+
 def test_tail_bound_guards():
     with pytest.raises(ValueError):
         tail_bound(1, 0, 2.0)

@@ -13,12 +13,14 @@ sigma, where the tail test is hardest.
 Zeros are located by one array Newton per strip: the predicted zeros of all
 the cells asked for start together, and each iteration sums the orders k and
 k+1 over the points still active in one call each.  Every sum of a strip
-runs to one cutoff, chosen by the same rule at the strip's left edge.  A
-cell where Newton fails goes to a quadrisection fallback by winding number,
-whose restarts are the same Newton from one point.  A record's residual and
-simplicity margin are the order-k and order-(k+1) sums at its zero divided
-by their largest term: a sum's exponent is its largest term, Q_n(sigma) at
-the dominant index n, so these are the moduli of its mantissas.
+runs to one cutoff, chosen by the same rule at the strip's left edge.
+Newton steps on zeta^(k)/Q_M(s), which has the same zeros but not the fast
+phase M^(-it), and stops on a step small relative to |z|.  Each cell of a
+certified strip holds exactly one simple zero, so a cell where Newton fails
+raises LocateError.  A record's residual and simplicity margin are the
+order-k and order-(k+1) sums at its zero divided by their largest term: a
+sum's exponent is its largest term, Q_n(sigma) at the dominant index n, so
+these are the moduli of its mantissas.
 """
 from __future__ import annotations
 
@@ -39,11 +41,8 @@ REL_ZERO_FLOOR = math.log(1e-8)
 MAX_SUBDIV_DEPTH = 48
 INIT_SAMPLES_PER_EDGE = 64
 NEWTON_MAX_ITERS = 60
-# Newton stops once its step is below this.  The bound is absolute: once |z|
-# is around 1000 or more it sits below the floor that rounding sets on the
-# steps, so Newton can miss it in a cell with a simple zero (the failing
-# cells of perfbench/data/cells.json); it stays until a stop rule relative
-# to |z| replaces it
+# Newton stops once its step is at most this times max(1, |z|): relative,
+# since the rounding floor of a step grows with |z|
 NEWTON_TOL = 1e-12
 # sigma intervals of a strip certificate
 SWEEP_INTERVALS = 256
@@ -65,7 +64,7 @@ class ZeroOnContourError(Exception):
 
 
 class LocateError(Exception):
-    """Newton and its quadrisection fallback both failed to converge."""
+    """Newton failed to converge in a cell."""
 
     def __init__(self, best: complex, message: str):
         self.best = best
@@ -321,22 +320,25 @@ def _sums(k: int, z: np.ndarray, N: int):
             _partial_sum(k + 1, z.real, z.imag, 2, N))
 
 
-def _newton(z: np.ndarray, k: int, N: int, sigma_range: tuple[float, float],
-            t_lo: np.ndarray, t_hi: np.ndarray) -> tuple[np.ndarray,
-                                                        np.ndarray]:
-    """Newton on the k-th derivative from each start point of z, each in
-    its own cell (sigma_range by (t_lo, t_hi)), all summed to the cutoff N.
-    Each iteration is one _sums call over the points still active.  A point
-    stops once its step is below NEWTON_TOL; it fails when it escapes its
-    cell twice (after the first escape it is clamped back inside), when its
-    order-(k+1) sum is 0 or its step is not finite, or after
-    NEWTON_MAX_ITERS steps.  Returns the final points and the iterations
-    each took, 0 for a failed start."""
+def _newton(z: np.ndarray, k: int, M: int, N: int,
+            sigma_range: tuple[float, float], t_lo: np.ndarray,
+            t_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on g = zeta^(k)/Q_M(s) from each start point of z, each in its
+    own cell (sigma_range by (t_lo, t_hi)), all summed to the cutoff N.
+    g has the zeros of zeta^(k) without its fast phase M^(-it); with
+    s = -zeta^(k)/zeta^(k+1), its step -g/g' is s/(1 - s*log M).  Each
+    iteration is one _sums call over the points still active.  A point stops
+    once its step is at most NEWTON_TOL*max(1, |z|); it fails when it
+    escapes its cell twice (after the first escape it is clamped back
+    inside), when its step is not finite, or after NEWTON_MAX_ITERS steps.
+    Returns the final points and the iterations each took, 0 for a failed
+    start."""
     z = z.copy()
     iters = np.zeros(z.size, dtype=int)
     escapes = np.zeros(z.size, dtype=int)
     active = np.arange(z.size)
     s_lo, s_hi = sigma_range
+    log_M = math.log(M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, NEWTON_MAX_ITERS + 1):
             if not active.size:
@@ -344,7 +346,8 @@ def _newton(z: np.ndarray, k: int, N: int, sigma_range: tuple[float, float],
             za = z[active]
             (m_k, e_k), (m_k1, e_k1) = _sums(k, za, N)
             # -zeta^(k)/zeta^(k+1): the two sums carry opposite signs
-            step = m_k / m_k1 * np.exp(e_k - e_k1)
+            s = m_k / m_k1 * np.exp(e_k - e_k1)
+            step = s / (1.0 - s * log_M)
             za = za + step
             lo, hi = t_lo[active], t_hi[active]
             out = ~((s_lo < za.real) & (za.real < s_hi)
@@ -358,64 +361,30 @@ def _newton(z: np.ndarray, k: int, N: int, sigma_range: tuple[float, float],
                                              hi[out] - 1e-9))
             z[active] = za
             alive = np.isfinite(step) & (escapes[active] < 2)
-            done = alive & (np.abs(step) < NEWTON_TOL)
+            done = alive & (np.abs(step)
+                            <= NEWTON_TOL * np.maximum(1.0, np.abs(za)))
             iters[active[done]] = it
             active = active[alive & ~done]
     return z, iters
 
 
-def _quadrants(rect: Rect) -> list[Rect]:
-    sm = 0.5 * (rect.sigma_lo + rect.sigma_hi)
-    tm = 0.5 * (rect.t_lo + rect.t_hi)
-    return [Rect(rect.sigma_lo, sm, rect.t_lo, tm),
-            Rect(sm, rect.sigma_hi, rect.t_lo, tm),
-            Rect(rect.sigma_lo, sm, tm, rect.t_hi),
-            Rect(sm, rect.sigma_hi, tm, rect.t_hi)]
-
-
-def _fallback(M: int, k: int, j: int, N: int) -> tuple[complex, int]:
-    """Quadrisect cell j by winding number, up to 6 times, restarting
-    Newton from the center of the quadrant holding one zero."""
-    c = cell(M, k, j)
-    t_lo, t_hi = np.array(c.t_range[:1]), np.array(c.t_range[1:])
-    evaluator = series_evaluator(k, M_ref=M)
-    rect = Rect(c.sigma_range[0], c.sigma_range[1],
-                c.t_range[0], c.t_range[1])
-    for _ in range(6):
-        sub = None
-        for quad in _quadrants(rect):
-            if winding_number(quad, evaluator).count == 1:
-                sub = quad
-                break
-        if sub is None:
-            break
-        rect = sub
-        center = complex(0.5 * (rect.sigma_lo + rect.sigma_hi),
-                         0.5 * (rect.t_lo + rect.t_hi))
-        z, iters = _newton(np.array([center]), k, N, c.sigma_range,
-                           t_lo, t_hi)
-        if iters[0]:
-            return complex(z[0]), int(iters[0])
-    raise LocateError(c.predicted_zero.to_complex(),
-                      f"no convergence in cell (M={M}, k={k}, j={j})")
-
-
 def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
     """Records for the cells js (ascending) of strip S_M: one array Newton
-    from their predicted zeros, all summed to the strip's one cutoff, then
-    for each cell where it fails the quadrisection fallback, whose restarts
-    are one-point runs of the same Newton.  Raises LocateError for the
-    first cell that the fallback cannot locate either."""
+    from their predicted zeros, all summed to the strip's one cutoff.
+    Raises LocateError for the first cell where Newton fails."""
     c0 = cell(M, k, js[0] if js else 0)
     sp = c0.strip
     N = _strip_cutoff(k, c0.sigma_range[0])
     j = np.array(js, dtype=int)
     t_lo, t_hi = TWO_PI * j / sp.delta, TWO_PI * (j + 1) / sp.delta
     t_pred = (2 * j + 1) * math.pi / sp.delta
-    z, iters = _newton(sp.center_sigma + 1j * t_pred, k, N, c0.sigma_range,
-                       t_lo, t_hi)
-    for i in np.flatnonzero(iters == 0).tolist():
-        z[i], iters[i] = _fallback(M, k, js[i], N)
+    z, iters = _newton(sp.center_sigma + 1j * t_pred, k, M, N,
+                       c0.sigma_range, t_lo, t_hi)
+    failed = np.flatnonzero(iters == 0)
+    if failed.size:
+        i = int(failed[0])
+        raise LocateError(complex(sp.center_sigma, t_pred[i]),
+                          f"no convergence in cell (M={M}, k={k}, j={js[i]})")
     (m_k, _), (m_k1, _) = _sums(k, z, N)
     return [ZeroRecord(location=ComplexPoint(s, t), M=M, k=k, j=jc,
                        residual=r, simplicity_margin=g, newton_iters=n,
@@ -426,11 +395,10 @@ def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
 
 
 def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
-    """The zero in cell(M, k, j): Newton from the predicted zero, and if it
-    escapes the cell twice or does not converge, Newton restarted from the
-    quadrant that holds one zero by winding number.  enumerate_zeros' path
-    for one cell, so its sums run to the strip's one cutoff and the record
-    equals enumerate_zeros' record j."""
+    """The zero in cell(M, k, j): Newton from the predicted zero, raising
+    LocateError if it escapes the cell twice or does not converge.
+    enumerate_zeros' path for one cell, so its sums run to the strip's one
+    cutoff and the record equals enumerate_zeros' record j."""
     return _locate(M, k, [j])[0]
 
 
@@ -442,8 +410,8 @@ def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     their predicted zeros at once; each iteration is one sum per order k and
     k+1 over the cells still active.  Every sum runs to one cutoff for the
     strip, taken at its left edge: the tail test there holds at every sigma
-    of the strip (_strip_cutoff).  Cells where Newton fails go one by one to
-    locate_zero's quadrisection fallback."""
+    of the strip (_strip_cutoff).  Raises LocateError for the first cell
+    where Newton fails."""
     if T <= 0.0:
         raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
     delta = cell(M, k, 0).strip.delta

@@ -51,6 +51,15 @@ def test_zeros_count_at(capsys):
     assert "N = 2 zeros" in out
 
 
+def test_zeros_count_at_high_order(capsys):
+    # every cell of S_28 at k = 10^5 below J = 40 is located
+    code, out = run(capsys, "zeros", "--M", "28", "--k", "100000",
+                    "--count-at", "40")
+    assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("{")]) == 40
+    assert out.splitlines()[-1].startswith("N = 40 zeros up to T =")
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "m4-10")
     assert code == 0

@@ -524,9 +524,10 @@ def test_count_at_locates_exactly_the_cells_below_it(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["start", "cell"])
-def test_degenerate_step_fails_the_start_not_the_run(monkeypatch, where):
+def test_degenerate_step_raises_locate_error_for_its_cell(monkeypatch, where):
     # the order-(k+1) sum is 0 at the predicted zero of cell 3 only, or
-    # anywhere in cell 3
+    # anywhere in cell 3: its step is not finite, so Newton fails there and
+    # the run raises LocateError for that cell, without any winding number
     M, k, bad = 2, 38, 3
     T = _count_at(M, k, 8)
     clean, _ = enumerate_zeros(M, k, T)
@@ -551,24 +552,48 @@ def test_degenerate_step_fails_the_start_not_the_run(monkeypatch, where):
 
     monkeypatch.setattr(zeros, "_partial_sum", degenerate)
     monkeypatch.setattr(zeros, "winding_number", counted)
-    if where == "start":
-        # cell 3 goes to the quadrisection fallback, which finds its zero
-        records, n = enumerate_zeros(M, k, T)
-        assert n == 8 and windings
-        for rec, want in zip(records, clean):
-            if rec.j != bad:
-                assert rec == want
-        rec = records[bad]
-        assert c.contains(rec.location.sigma, rec.location.t)
-        assert abs(rec.location.to_complex()
-                   - clean[bad].location.to_complex()) < 1e-9
-        assert rec.residual < 1e-10
-    else:
-        with pytest.raises(zeros.LocateError, match=f"j={bad}\\)"):
-            enumerate_zeros(M, k, T)
-        assert windings
-        for j in (bad - 1, bad + 1):
-            assert locate_zero(M, k, j) == clean[j]
+    with pytest.raises(zeros.LocateError, match=f"j={bad}\\)"):
+        enumerate_zeros(M, k, T)
+    assert windings == []
+    for j in (bad - 1, bad + 1):
+        assert locate_zero(M, k, j) == clean[j]
+
+
+def test_every_fault_cell_of_the_survey_is_located():
+    # the cells of perfbench/data/cells.json where an absolute Newton stop
+    # failed, or succeeded only through a quadrisection fallback: Newton on
+    # zeta^(k)/Q_M with a relative stop locates each one directly
+    strips = json.loads(CELLS.read_text())["strips"]
+    missed, n = [], 0
+    for s in strips:
+        M, k = s["M"], s["k"]
+        for j in s["failing_j"] + s["fallback_j"]:
+            n += 1
+            rec = locate_zero(M, k, j)
+            if not (cell(M, k, j).contains(rec.location.sigma, rec.location.t)
+                    and rec.newton_iters <= 8):
+                missed.append((M, k, j, rec.newton_iters))
+    assert n == 722
+    assert missed == []
+
+
+def test_enumerate_zeros_far_up_a_low_strip():
+    # |z| reaches 20000, far above where an absolute step bound of 1e-12
+    # meets the rounding floor of the steps
+    records, n = enumerate_zeros(2, 800, 20000.0)
+    assert n == len(records) == 1291
+    assert [r.j for r in records] == list(range(1291))
+    assert all(r.location.t <= 20000.0 for r in records)
+
+
+@pytest.mark.parametrize("k", [10 ** 4, 10 ** 5])
+def test_first_cells_of_every_strip_located(k):
+    for sp in layout(k)[1]:
+        records, n = enumerate_zeros(sp.M, k, _count_at(sp.M, k, 40))
+        assert n == 40 and [r.j for r in records] == list(range(40))
+        for rec in records:
+            assert cell(sp.M, k, rec.j).contains(rec.location.sigma,
+                                                 rec.location.t), rec
 
 
 _strips = st.integers(38, 1600).flatmap(lambda k: st.sampled_from(

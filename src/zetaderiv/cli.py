@@ -131,9 +131,6 @@ def cmd_plot(args) -> tuple[dict, list[str]]:
 
 
 def cmd_berndt(args) -> tuple[dict, list[str]]:
-    if args.k > 3:
-        raise ValueError("the heuristic continuation is only trusted for "
-                         f"k <= 3, got k={args.k}")
     if args.T > 200:
         raise ValueError(f"T <= 200 supported, got {args.T}")
     n_k = continuation.count_zeros_halfplane(args.k, args.T, 0.05)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import zeros
+from . import series, zeros
 from .scaled import ScaledComplex
 from .series import EvalResult
 
@@ -59,10 +59,16 @@ def _zeta_em_raw(s: np.ndarray, N: int, eps: float,
     Leibniz's rule: its k-th derivative is N^(a-s) sum_j w_j g_j(s), with
     w_j = C(k, j) j! (-log N)^(k-j) and g_j the j-th Taylor coefficient of g
     at s.  Corrections are added up to the first r whose term is at most
-    eps/100 at every point, or up to MAX_BERNOULLI_TERMS.
+    eps/100 at every point, or up to MAX_BERNOULLI_TERMS.  The head sum
+    over n < N forms at most series.CHUNK entries at once (one n per piece
+    when s alone has more points).
     """
-    log_n = np.log(np.arange(1, N))
-    acc = (np.exp(-np.multiply.outer(s, log_n)) * (-log_n) ** k).sum(axis=1)
+    step = max(1, series.CHUNK // s.size)
+    acc = 0.0
+    for lo in range(1, N, step):
+        log_n = np.log(np.arange(lo, min(lo + step, N)))
+        acc = acc + (np.exp(-np.multiply.outer(s, log_n))
+                     * (-log_n) ** k).sum(axis=1)
     w = [math.perm(k, j) * (-math.log(N)) ** (k - j) for j in range(k + 1)]
     ninv = np.exp(-s * math.log(N))
     # 1/(s-1) has Taylor coefficients u^j/(s-1), u = 1/(1-s): Horner in u
@@ -175,27 +181,25 @@ def eval_deriv_cauchy(s: complex, k: int,
 
 
 def count_zeros_halfplane(k: int, T: float, sigma_min: float,
-                          sigma_max: float | None = None,
                           t_min: float = 0.05) -> int:
     """Winding-number count of zeros of the k-th derivative with
-    sigma_min <= sigma <= sigma_max and t_min < t <= T.
+    sigma_min <= sigma <= SIGMA_MAX_TABLE[k] + 0.05 and t_min < t <= T,
+    for the orders k of SIGMA_MAX_TABLE.
 
     Each edge of the contour is one call of the Euler-Maclaurin kernel for
     zeta^(k), whose error control is heuristic.  A contour that passes too
     close to a zero raises ZeroOnContourError.
     """
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
+    if k not in SIGMA_MAX_TABLE:
+        raise ValueError(f"derivative order must be one of "
+                         f"{sorted(SIGMA_MAX_TABLE)} for a half-plane count, "
+                         f"got {k}")
     if T <= t_min:
         raise ValueError(f"count_zeros_halfplane needs T > t_min = {t_min}, "
                          f"got T = {T}")
-    if sigma_max is None:
-        if k not in SIGMA_MAX_TABLE:
-            raise ValueError(f"no default sigma_max for k={k}; pass one")
-        sigma_max = SIGMA_MAX_TABLE[k]
     # small outward margin: the table values are suprema of zero real parts,
     # so a zero may sit arbitrarily close to the line itself
-    sigma_hi = sigma_max + 0.05
+    sigma_hi = SIGMA_MAX_TABLE[k] + 0.05
     return zeros.winding_number(zeros.Rect(sigma_min, sigma_hi, t_min, T),
                                 lambda z: _zeta_em(z, 1e-9, k)[0],
                                 sample_density=8.0).count

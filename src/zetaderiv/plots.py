@@ -179,16 +179,15 @@ def plot_zeros(M: int, k: int, T: float, out_prefix: str | Path) -> list[Path]:
     return _strip_figure([(M, k, T)], out_prefix)
 
 
-def plot_figure2(out_prefix: str | Path, k: int = 38,
-                 periods: int = 5) -> list[Path]:
-    """The k = 38 layout: strip S_2 with one zero marker per cell."""
-    return plot_zeros(2, k, periods * strip(2, k).period, out_prefix)
+def plot_figure2(out_prefix: str | Path) -> list[Path]:
+    """The k = 38 layout: strip S_2 up to five periods, with one zero marker
+    per cell."""
+    return plot_zeros(2, 38, 5 * strip(2, 38).period, out_prefix)
 
 
 def plot_figure4(out_prefix: str | Path,
-                 ks: Sequence[int] = (100, 200, 400, 800),
-                 periods: int = 3) -> list[Path]:
-    """Side-by-side strip S_2 panels for several orders k, each with its
-    first few zeros and the zero-free cell lines."""
-    return _strip_figure([(2, k, periods * strip(2, k).period) for k in ks],
+                 ks: Sequence[int] = (100, 200, 400, 800)) -> list[Path]:
+    """Side-by-side strip S_2 panels for several orders k, each up to three
+    periods, with its first zeros and the zero-free cell lines."""
+    return _strip_figure([(2, k, 3 * strip(2, k).period) for k in ks],
                          out_prefix)

@@ -99,39 +99,35 @@ def _partial_sum(k: int, sigma, t, n_lo: int, n_hi: int):
     return np.add.reduce(vals, axis=-1), shift
 
 
-def _tail_R(M: int, k: int, sigma: float) -> float:
-    return M / (sigma - 1.0) * (1.0 + k / ((sigma - 1.0) * math.log(M)
-                                           - k + 1.0))
-
-
-def _tail_valid(M: int, k: int, sigma):
-    """Whether the integral bound holds: k - 1 < (sigma - 1) log M."""
-    return k - 1.0 < (sigma - 1.0) * math.log(M)
+def _tail(M: int, k: int, sigma):
+    """R_M^k(sigma) at a float sigma or at each point of an array; inf where
+    the integral bound is invalid, k - 1 >= (sigma - 1) log M."""
+    x = (sigma - 1.0) * math.log(M)
+    valid = k - 1.0 < x
+    if isinstance(x, np.ndarray):
+        d = np.where(valid, x - k + 1.0, 1.0)
+        return np.where(valid, M / (sigma - 1.0) * (1.0 + k / d), math.inf)
+    if not valid:
+        return math.inf
+    return M / (sigma - 1.0) * (1.0 + k / (x - k + 1.0))
 
 
 def tail_bound(M: int, k: int, sigma: float) -> float:
-    """Certified tail factor R with sum_{n>M} Q_n(sigma) <= Q_M(sigma) * R;
-    inf when k - 1 >= (sigma - 1) log M."""
+    """Certified tail factor R = R_M^k(sigma) with sum_{n>M} Q_n(sigma) <=
+    Q_M(sigma) * R, for M >= 2 and sigma > 1; inf when k - 1 >= (sigma - 1)
+    log M."""
     if M < 2:
         raise ValueError(f"tail bound needs M >= 2, got {M}")
     if sigma <= 1.0:
         raise ValueError(f"tail bound needs sigma > 1, got {sigma}")
-    return _tail_R(M, k, sigma) if _tail_valid(M, k, sigma) else math.inf
+    return _tail(M, k, sigma)
 
 
 def _log_tail(N: int, k: int, sigma):
     """log(Q_N(sigma) * R_N^k(sigma)), the log of the certified bound on
     sum_{n>N} Q_n(sigma), at a float sigma or at each point of an array;
     inf where the integral bound is invalid."""
-    valid = _tail_valid(N, k, sigma)
-    if isinstance(valid, np.ndarray):
-        if not valid.all():
-            out = np.full(valid.shape, math.inf)
-            out[valid] = _log_tail(N, k, sigma[valid])
-            return out
-    elif not valid:
-        return math.inf
-    return log_term_mag(N, k, sigma) + np.log(_tail_R(N, k, sigma))
+    return log_term_mag(N, k, sigma) + np.log(_tail(N, k, sigma))
 
 
 def tail_monotonicity_conditions(M: int, a1: float, b1: float,
@@ -153,12 +149,12 @@ def tail_monotonicity_conditions(M: int, a1: float, b1: float,
 
 
 def _cutoff(k: int, sigma, eps_rel: float, cap: int, n_lo: int = 2):
-    """At a float sigma, or at each point of a 1-D array: the smallest
-    doubling cutoff N from n_lo + 14 on whose certified tail is at most
-    eps_rel * sum_{n=n_lo}^N Q_n(sigma), or the first N >= cap; whether that
-    N meets the test; the log of that sum to the last N searched, and that
-    N.  Each doubling adds only the new terms (N, 2N] to a running
-    log-magnitude per point, until every point meets the test or N >= cap."""
+    """One cutoff N for a float sigma or a 1-D array of them: the first
+    doubling from n_lo + 14 on at which every point's certified tail is at
+    most eps_rel * sum_{n=n_lo}^N Q_n(sigma), or the first N >= cap; whether
+    each point meets that test at N; and the log of each point's sum to N.
+    Each doubling adds only the new terms (N, 2N] to a running
+    log-magnitude per point."""
     if np.count_nonzero(sigma <= 1.0):
         raise ValueError(f"series truncation needs sigma > 1, got "
                          f"{np.min(sigma)}")
@@ -168,15 +164,13 @@ def _cutoff(k: int, sigma, eps_rel: float, cap: int, n_lo: int = 2):
     N = n_lo + 14
     mant, shift = _partial_sum(k, sigma, 0.0, n_lo, N)
     log_mag = shift + np.log(mant)
-    cutoff = N
     met = _log_tail(N, k, sigma) <= log_eps + log_mag
     while np.count_nonzero(~met) and N < cap:
         mant, shift = _partial_sum(k, sigma, 0.0, N + 1, 2 * N)
         log_mag = np.logaddexp(log_mag, shift + np.log(mant))
         N *= 2
-        cutoff = np.where(met, cutoff, N)
-        met = met | (_log_tail(N, k, sigma) <= log_eps + log_mag)
-    return cutoff, met, log_mag, N
+        met = _log_tail(N, k, sigma) <= log_eps + log_mag
+    return N, met, log_mag
 
 
 def _cutoff_from(k: int, sigma_lo: float) -> int:
@@ -185,11 +179,11 @@ def _cutoff_from(k: int, sigma_lo: float) -> int:
     the test's ratio R_N(sigma) / sum_{n<=N} Q_n(sigma)/Q_N(sigma) falls as
     sigma grows, since R_N falls and each Q_n/Q_N with n < N rises.  Raises
     ValueError when the search ends unmet at MAX_TERMS."""
-    cutoff, met = _cutoff(k, sigma_lo, DEFAULT_EPS_REL, MAX_TERMS)[:2]
+    N, met = _cutoff(k, sigma_lo, DEFAULT_EPS_REL, MAX_TERMS)[:2]
     if not met:
         raise ValueError(f"order-{k} series needs more than {MAX_TERMS} "
                          f"terms at sigma = {sigma_lo}")
-    return int(cutoff)
+    return N
 
 
 def choose_truncation(k: int, sigma: float, eps_rel: float,
@@ -197,7 +191,7 @@ def choose_truncation(k: int, sigma: float, eps_rel: float,
     """Smallest doubling cutoff N with certified tail <= eps_rel * sum of
     term magnitudes.  Capped at max_terms; the caller sees the bound actually
     achieved through EvalResult."""
-    return int(_cutoff(k, sigma, eps_rel, max_terms)[0])
+    return _cutoff(k, sigma, eps_rel, max_terms)[0]
 
 
 def series_is_practical(k: int, sigma: float, eps_rel: float) -> bool:
@@ -261,12 +255,13 @@ def tail_ratio_upper(m_start: int, k: int, sigma, log_ref):
     """Certified upper bound on sum_{n>=m_start} Q_n(sigma) / e^log_ref, at
     a float sigma or at each point of an array: the cutoff search from
     m_start (cut TAIL_REL_CUT, cap m_start + TAIL_MAX_EXACT) closed by the
-    integral bound at its last N (inf where never valid), rounded up by
-    rounding_allowance and by the smallest normal float (for tails that
-    underflow).  Anchoring the bound deeper than m_start keeps it tight near
-    the lower wedge tips, where R_{m_start} is close to or above 1."""
-    cutoff, _, log_sum, N = _cutoff(k, sigma, TAIL_REL_CUT,
-                                    m_start + TAIL_MAX_EXACT, n_lo=m_start)
+    integral bound at its one N (inf where never valid), rounded up by the
+    rounding_allowance of a sum to that N and by the smallest normal float
+    (for tails that underflow).  Anchoring the bound deeper than m_start
+    keeps it tight near the lower wedge tips, where R_{m_start} is close to
+    or above 1."""
+    N, _, log_sum = _cutoff(k, sigma, TAIL_REL_CUT, m_start + TAIL_MAX_EXACT,
+                            n_lo=m_start)
     total = np.exp(np.logaddexp(log_sum, _log_tail(N, k, sigma)) - log_ref)
-    return (total * (1.0 + rounding_allowance(cutoff, k, sigma, log_ref))
+    return (total * (1.0 + rounding_allowance(N, k, sigma, log_ref))
             + np.finfo(float).tiny)

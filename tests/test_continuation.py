@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from zetaderiv import continuation, zeros
+from zetaderiv import continuation, series, zeros
 from zetaderiv.continuation import (SIGMA_MAX_TABLE, _bernoulli_table,
                                     count_zeros_halfplane, eval_deriv_cauchy,
                                     eval_zeta_em, pick_radius)
@@ -49,6 +50,32 @@ def test_zeta_em_points_share_the_cutoff_of_the_largest_t():
     for z, value in zip(s, got):
         want = complex(mp.zeta(complex(z)))
         assert complex(value) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_zeta_em_head_in_pieces_matches_one_block(monkeypatch):
+    # a small CHUNK splits the kernel's head sum over n into pieces: several
+    # n per piece, and one n per piece when the points alone exceed CHUNK
+    # (to the rounding of a sum of magnitude mag)
+    s = np.array([0.1 + 0.2j, 0.5 - 14.134725j, 2.9 + 95.0j])
+    log_n = np.log(np.arange(1, 40))
+    whole = [continuation._zeta_em_raw(s, 40, 1e-12, k) for k in (0, 1, 3)]
+    for chunk in (16, 2):
+        monkeypatch.setattr(series, "CHUNK", chunk)
+        for k, (want, est) in zip((0, 1, 3), whole):
+            got, got_est = continuation._zeta_em_raw(s, 40, 1e-12, k)
+            mag = (np.exp(-np.multiply.outer(s.real, log_n))
+                   * log_n ** k).sum(axis=1)
+            assert got_est == est
+            assert np.all(np.abs(got - want) <= 1e-14 * mag)
+    # no temporary grows with N: one unsplit 3 x 20000 complex array alone
+    # takes 960 kB
+    tracemalloc.start()
+    try:
+        continuation._zeta_em_raw(s, 20000, 1e-12, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_eval_zeta_em_guards():
@@ -166,7 +193,7 @@ def test_zero_count_derivatives_pinned(k):
 
 def test_negative_order_raises():
     with pytest.raises(ValueError):
-        count_zeros_halfplane(-1, 30.0, 0.05, sigma_max=2.0)
+        count_zeros_halfplane(-1, 30.0, 0.05)
     with pytest.raises(ValueError):
         continuation._zeta_em(np.array([2.0 + 1.0j]), 1e-10, -1)
 
@@ -174,6 +201,11 @@ def test_negative_order_raises():
 def test_zero_count_needs_sigma_max_for_high_k():
     with pytest.raises(ValueError):
         count_zeros_halfplane(7, 50.0, 0.05)
+
+
+def test_zero_count_names_the_orders_of_the_table():
+    with pytest.raises(ValueError, match=r"\[0, 1, 2, 3\]"):
+        count_zeros_halfplane(5, 50.0, 0.05)
 
 
 def test_sigma_max_table_contents():

@@ -2,8 +2,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 from zetaderiv.geometry import layout
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -40,13 +38,3 @@ def test_make_figures_writes_every_file(capsys, monkeypatch, tmp_path):
         assert rows[0] == header and len(rows) > 1
         assert (tmp_path / f"{stem}.svg").read_text().startswith("<svg ")
 
-
-def test_run_verification_prints_the_verify_all_report(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["run_verification.py"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "run_verification.py"),
-                       run_name="__main__")
-    assert exit_info.value.code == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 427
-    assert lines[-1] == "412/426 checks passed"

@@ -11,9 +11,9 @@ from zetaderiv.geometry import q_value
 from zetaderiv.scaled import ScaledComplex
 from zetaderiv.series import (DELTA_MIN, MAX_TERMS, PRACTICAL_TERMS,
                               _partial_sum, choose_truncation, eval_deriv,
-                              head, log_term_mag, series_is_practical,
-                              tail_bound, tail_monotonicity_conditions,
-                              tail_ratio_upper)
+                              head, log_term_mag, rounding_allowance,
+                              series_is_practical, tail_bound,
+                              tail_monotonicity_conditions, tail_ratio_upper)
 from zetaderiv.zeros import series_evaluator
 
 mp.mp.dps = 30
@@ -203,20 +203,49 @@ def test_cutoff_search_matches_resumming_oracle():
     assert choose_truncation(1, 1.2, 1e-10, max_terms=1000) == 1024
 
 
-def test_cutoff_over_an_array_matches_each_point():
+def test_cutoff_over_an_array_takes_one_n():
     # one search over many sigma per (k, eps): points that meet the test at
-    # different doublings, and points capped without meeting it
+    # different doublings, and points capped without meeting it.  The array
+    # runs to the largest N that a point's own search reaches, and each
+    # point's verdict at that N is the one its own search gives
     groups = {}
     for k, sigma, eps in CUTOFF_POINTS:
         groups.setdefault((k, eps), []).append(sigma)
     groups[(1, 1e-10)] += [1.2, 1.5, 2.0, 2.5, 3.0]
+    mixed = 0
     for (k, eps), sigmas in groups.items():
         for cap in (PRACTICAL_TERMS, 1000):
-            cutoff, met = series._cutoff(k, np.array(sigmas), eps, cap)[:2]
-            want = [series._cutoff(k, x, eps, cap)[:2] for x in sigmas]
-            assert np.broadcast_to(cutoff, len(sigmas)).tolist() == \
-                [int(n) for n, _ in want], (k, eps, cap)
-            assert met.tolist() == [bool(m) for _, m in want], (k, eps, cap)
+            N, met, log_sum = series._cutoff(k, np.array(sigmas), eps, cap)
+            own = [series._cutoff(k, x, eps, cap) for x in sigmas]
+            assert N == max(n for n, _, _ in own), (k, eps, cap)
+            assert met.tolist() == [bool(m) for _, m, _ in own], (k, eps, cap)
+            for got, (n, _, want) in zip(log_sum.tolist(), own):
+                if n == N:
+                    assert got == pytest.approx(want, rel=1e-14, abs=1e-13)
+            mixed += len({n for n, _, _ in own}) > 1
+    assert mixed
+
+
+def test_tail_ratio_upper_takes_the_allowance_at_the_n_it_summed_to(
+        monkeypatch):
+    # these points meet the tail test from m_start = 4 at different
+    # doublings on their own; the array's sums run to the largest of them,
+    # and that is the N whose rounding allowance the bound takes
+    m_start, k, cap = 4, 2, 4 + series.TAIL_MAX_EXACT
+    sigma = np.array([5.0, 8.0, 20.0])
+    own = [series._cutoff(k, x, series.TAIL_REL_CUT, cap, n_lo=m_start)[0]
+           for x in sigma.tolist()]
+    assert len(set(own)) == 3
+    seen = []
+
+    def allowance_spy(N, *args):
+        seen.append(N)
+        return rounding_allowance(N, *args)
+
+    monkeypatch.setattr(series, "rounding_allowance", allowance_spy)
+    series.tail_ratio_upper(m_start, k, sigma, log_term_mag(m_start, k, sigma))
+    assert len(seen) == 1
+    assert np.ndim(seen[0]) == 0 and seen[0] == max(own)
 
 
 def test_partial_sum_in_pieces_matches_one_block(monkeypatch):

@@ -155,11 +155,6 @@ def test_series_evaluator_matches_pointwise_eval_deriv(M, k, j, own_term):
                                          -p.imag * math.log(M_ref))
         want = (eval_deriv(p, k).value / scale).to_complex()
         assert abs(value - want) <= 1e-15 * k * abs(want)
-    # the batched search gives each point the cutoff it gets on its own
-    cutoff, met = _cutoff(k, z.real, 1e-12, MAX_TERMS)[:2]
-    want = [choose_truncation(k, x, 1e-12) for x in z.real.tolist()]
-    assert np.broadcast_to(cutoff, z.shape).tolist() == want
-    assert np.all(met)
 
 
 def test_series_evaluator_sums_a_call_to_the_cutoff_of_its_smallest_sigma(

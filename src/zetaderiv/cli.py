@@ -1,11 +1,14 @@
 """Command-line front end: evaluation, region queries, zero enumeration,
 verification suites and plot emission.  Each command computes its results
-afresh and stores nothing.  The exit code follows from a command's results
-alone: 1 for a failed check or a count other than the one asked for, 2 for a
-ValueError (one stderr line); any other exception propagates."""
+afresh and stores nothing; the one parser a process builds holds no results.
+The exit code follows from a command's results alone: 1 for a failed check or
+a count other than the one asked for, 2 for a ValueError (one stderr line);
+any other exception propagates."""
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -15,9 +18,11 @@ from . import continuation, plots, verify
 from .geometry import TWO_PI, count_strips, layout, strip
 from .scaled import ScaledComplex
 from .series import eval_deriv, series_is_practical
-from .zeros import enumerate_zeros
+from .zeros import ZeroRecord, enumerate_zeros
 
 _LN10 = math.log(10.0)
+# json.dumps with a keyword builds a new encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _decimal_parts(v: ScaledComplex) -> tuple[complex, int]:
@@ -36,6 +41,9 @@ def _decimal_parts(v: ScaledComplex) -> tuple[complex, int]:
 
 def cmd_eval(args) -> tuple[dict, list[str]]:
     s = complex(args.sigma, args.t)
+    if not cmath.isfinite(s):  # every route takes this s
+        raise ValueError(f"s must be finite, got sigma = {args.sigma}, "
+                         f"t = {args.t}")
     if series_is_practical(args.k, args.sigma, args.eps):
         res = eval_deriv(s, args.k, args.eps)
         route = "series"
@@ -86,13 +94,26 @@ def cmd_regions(args) -> tuple[dict, list[str]]:
              "count_bounds": [lo, hi]}, lines)
 
 
+def _record_dict(rec: ZeroRecord) -> dict:
+    """asdict(rec) without its recursive deep copy: the fields are numbers
+    and the two points location and predicted."""
+    d = dict(vars(rec))
+    d["location"] = dict(vars(rec.location))
+    d["predicted"] = dict(vars(rec.predicted))
+    return d
+
+
 def cmd_zeros(args) -> tuple[dict, list[str]]:
+    """The records of strip S_M up to --T, or up to the sanctioned height
+    T_J of --count-at J, whose count must then be J.  Each record's dict is
+    built from its fields and is one JSON line with sorted keys; the same
+    dicts are the results' records."""
     T = args.T
     if args.count_at is not None:
         T = TWO_PI * args.count_at / strip(args.M, args.k).delta
     records, n = enumerate_zeros(args.M, args.k, T)
-    record_dicts = [asdict(r) for r in records]
-    lines = [json.dumps(d, sort_keys=True) for d in record_dicts]
+    record_dicts = [_record_dict(r) for r in records]
+    lines = [_encode(d) for d in record_dicts]
     lines.append(f"N = {n} zeros up to T = {T:.6f}")
     results = {"records": record_dicts, "N": n, "T": T}
     if args.count_at is not None and n != args.count_at:
@@ -131,7 +152,7 @@ def cmd_plot(args) -> tuple[dict, list[str]]:
 
 
 def cmd_berndt(args) -> tuple[dict, list[str]]:
-    if args.T > 200:
+    if not args.T <= 200:  # nan too
         raise ValueError(f"T <= 200 supported, got {args.T}")
     n_k = continuation.count_zeros_halfplane(args.k, args.T, 0.05)
     n_0 = continuation.count_zeros_halfplane(0, args.T, 0.05)
@@ -164,11 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, default=1e-12,
                     help="target relative accuracy")
-    sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("regions", help="wedges and strips at order k")
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=cmd_regions)
 
     sp = sub.add_parser("zeros", help="enumerate strip zeros")
     sp.add_argument("--M", type=int, required=True)
@@ -178,11 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     height.add_argument("--count-at", type=int, default=None, metavar="J",
                         help="evaluate at the sanctioned height T_J and "
                              "check the count equals J")
-    sp.set_defaults(func=cmd_zeros)
 
     sp = sub.add_parser("verify", help="run constant-verification suites")
     sp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("plot", help="emit CSV + SVG plot data")
     sp.add_argument("kind", choices=["zeros", "regions", "figure2",
@@ -191,19 +208,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, default=2)
     sp.add_argument("--k", type=int, default=38)
     sp.add_argument("--T", type=float, default=None)
-    sp.set_defaults(func=cmd_plot)
 
     sp = sub.add_parser("berndt", help="compare N_k(T) with its main term")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--T", type=float, required=True)
-    sp.set_defaults(func=cmd_berndt)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main call rather than
+    at import: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse argv with the process's one parser, run the command cmd_<name>
+    that this module binds at call time (so a rebound cmd_ function is the
+    one that runs), print its lines and return its exit code."""
+    args = _parser().parse_args(argv)
     try:
-        results, lines = args.func(args)
+        results, lines = globals()[f"cmd_{args.command}"](args)
     except ValueError as err:  # an input out of the library's range
         print(f"zetaderiv {args.command}: {err}", file=sys.stderr)
         return 2

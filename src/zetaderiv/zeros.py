@@ -412,8 +412,8 @@ def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     strip, taken at its left edge: the tail test there holds at every sigma
     of the strip (_strip_cutoff).  Raises LocateError for the first cell
     where Newton fails."""
-    if T <= 0.0:
-        raise ValueError(f"enumerate_zeros needs T > 0, got {T}")
+    if not 0.0 < T < math.inf:  # nan too
+        raise ValueError(f"enumerate_zeros needs 0 < T < inf, got T = {T}")
     delta = cell(M, k, 0).strip.delta
     # the cells whose lower line (cell's formula) is below T; the ceiling
     # alone can round up past a T on a line

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from xml.etree import ElementTree
@@ -183,6 +184,12 @@ def test_exit_code_follows_the_results(results, code, capsys, monkeypatch):
     *(["eval", "--sigma", "1.02", "--t", "1", "--k", k, "--eps", eps]
       for k in ("0", "1") for eps in ("0", "-1", "nan")),
     ["eval", "--sigma", "1.5", "--t", "1", "--k", "2", "--eps", "nan"],
+    # non-finite heights and points
+    ["zeros", "--M", "2", "--k", "38", "--T", "inf"],
+    ["zeros", "--M", "2", "--k", "38", "--T", "nan"],
+    ["eval", "--sigma", "2", "--t", "inf", "--k", "1"],
+    ["eval", "--sigma", "nan", "--t", "1", "--k", "1"],
+    ["berndt", "--k", "1", "--T", "nan"],
 ])
 def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     if argv[0] == "plot":
@@ -194,6 +201,18 @@ def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"zetaderiv {argv[0]}: ")
     assert "Traceback" not in captured.err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["zeros", "--M", "2", "--k", "38", "--T", "inf"], "T = inf"),
+    (["zeros", "--M", "2", "--k", "38", "--T", "nan"], "T = nan"),
+    (["eval", "--sigma", "2", "--t", "inf", "--k", "1"], "t = inf"),
+    (["eval", "--sigma", "nan", "--t", "1", "--k", "1"], "sigma = nan"),
+    (["berndt", "--k", "1", "--T", "nan"], "got nan"),
+])
+def test_non_finite_input_is_named(argv, named, capsys):
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_berndt_rejects_a_negative_order(capsys):
@@ -226,3 +245,43 @@ def test_zeros_takes_exactly_one_height(capsys):
             cli.main(["zeros", "--M", "2", "--k", "38"] + extra)
         assert exit_info.value.code == 2
         assert "--count-at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("M,k", [(2, 38), (3, 1600), (5, 800)])
+def test_zero_records_encode_as_their_asdict(M, k):
+    # each record's dict is built from its fields, not by asdict, and
+    # must stay byte-identical to it
+    args = cli.build_parser().parse_args(
+        ["zeros", "--M", str(M), "--k", str(k), "--count-at", "40"])
+    results, lines = cli.cmd_zeros(args)
+    records, n = zeros.enumerate_zeros(M, k, results["T"])
+    want = [dataclasses.asdict(r) for r in records]
+    assert n == 40
+    assert lines[:-1] == [json.dumps(d, sort_keys=True) for d in want]
+    assert results["records"] == want
+
+
+_SEQUENCE = [["zeros", "--M", "2", "--k", "38", "--T", "50"],
+             ["zeros", "--M", "2", "--k", "38", "--count-at", "5"],
+             ["eval", "--sigma", "2", "--t", "1", "--k", "1"],
+             ["regions", "--k", "38"]]
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    alone = []
+    for argv in _SEQUENCE:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    parser = cli._parser()
+    # twice over, so that each command also follows every other one
+    assert [run(capsys, *argv) for argv in _SEQUENCE * 2] == alone * 2
+    assert cli._parser() is parser
+    assert cli.build_parser() is not parser
+
+
+def test_main_calls_the_command_bound_at_call_time(capsys, monkeypatch):
+    run(capsys, "regions", "--k", "38")  # the parser exists before the patch
+    monkeypatch.setattr(cli, "cmd_zeros",
+                        lambda args: ({"N": 0}, [f"patched M={args.M}"]))
+    assert run(capsys, "zeros", "--M", "2", "--k", "38", "--T", "5") == \
+        (0, "patched M=2\n")

@@ -431,6 +431,9 @@ def test_enumerate_zeros_sanctioned_heights():
 def test_enumerate_zeros_rejects_bad_T():
     with pytest.raises(ValueError):
         enumerate_zeros(2, 38, -1.0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="T = "):
+            enumerate_zeros(2, 38, T)
 
 
 def test_zero_ordinates_periodic():

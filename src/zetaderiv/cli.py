@@ -110,7 +110,7 @@ def cmd_zeros(args) -> tuple[dict, list[str]]:
     dicts are the results' records."""
     T = args.T
     if args.count_at is not None:
-        T = TWO_PI * args.count_at / strip(args.M, args.k).delta
+        T = strip(args.M, args.k).line(args.count_at)
     records, n = enumerate_zeros(args.M, args.k, T)
     record_dicts = [_record_dict(r) for r in records]
     lines = [_encode(d) for d in record_dicts]
@@ -184,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, default=1e-12,
-                    help="target relative accuracy")
+                    help="target accuracy; the series route bounds the error by "
+                         "eps * sum_n (log n)^k n^-sigma, not by eps * |value|, "
+                         "and the other routes (euler-maclaurin, cauchy-circle) "
+                         "give an estimate, not a bound")
 
     sp = sub.add_parser("regions", help="wedges and strips at order k")
     sp.add_argument("--k", type=int, required=True)

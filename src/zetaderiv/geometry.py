@@ -67,7 +67,8 @@ class WedgeSpec:
 
 @dataclass(frozen=True)
 class StripSpec:
-    """Critical strip of width 2*(M+1)*log 3 around sigma = q_M * k."""
+    """Critical strip of width 2*(M+1)*log 3 around sigma = q_M * k, and its
+    lattice of cells; line(j) and ordinate(j) take an int or an int array."""
 
     M: int
     k: int
@@ -80,6 +81,33 @@ class StripSpec:
     def delta(self) -> float:
         """Log-gap log(M+1) - log(M); the vertical zero spacing is 2*pi/delta."""
         return TWO_PI / self.period
+
+    @property
+    def sigma_range(self) -> tuple[float, float]:
+        """The sigma-interval of the strip and of each of its cells."""
+        return (self.center_sigma - self.half_width,
+                self.center_sigma + self.half_width)
+
+    def line(self, j):
+        """Cell line j, the lower line of cell j: t = 2*pi*j/delta."""
+        return TWO_PI * j / self.delta
+
+    def ordinate(self, j):
+        """Predicted zero height of cell j: t = (2j+1)*pi/delta."""
+        return (2 * j + 1) * math.pi / self.delta
+
+    def cells_below(self, T: float) -> int:
+        """Number of cells whose lower line is below T.  Raises ValueError
+        unless 0 < T < inf and adjacent floats at T are less than a period
+        apart, so that T tells one cell from the next."""
+        if not 0.0 < T < math.inf:  # nan too
+            raise ValueError(f"cells_below needs 0 < T < inf, got T = {T}")
+        if math.ulp(T) >= self.period:
+            raise ValueError(f"T = {T} is too high: adjacent floats there "
+                             f"are at least a period {self.period} apart")
+        # the ceiling alone can round up past a T on a line
+        n = math.ceil(T * self.delta / TWO_PI)
+        return n - 1 if self.line(n - 1) >= T else n
 
 
 @dataclass(frozen=True)
@@ -189,18 +217,10 @@ def cell(M: int, k: int, j: int) -> CellRect:
     sp = strip(M, k)
     if not sp.exists:
         raise ValueError(f"strip S_{M} does not exist at k={k}")
-    delta = sp.delta
-    t_lo = TWO_PI * j / delta
-    t_hi = TWO_PI * (j + 1) / delta
-    predicted = ComplexPoint(sp.center_sigma, (2 * j + 1) * math.pi / delta)
-    return CellRect(
-        strip=sp,
-        j=j,
-        sigma_range=(sp.center_sigma - sp.half_width,
-                     sp.center_sigma + sp.half_width),
-        t_range=(t_lo, t_hi),
-        predicted_zero=predicted,
-    )
+    return CellRect(strip=sp, j=j, sigma_range=sp.sigma_range,
+                    t_range=(sp.line(j), sp.line(j + 1)),
+                    predicted_zero=ComplexPoint(sp.center_sigma,
+                                                sp.ordinate(j)))
 
 
 def dominant_index(sigma: float, k: int) -> int:

@@ -100,17 +100,14 @@ def plot_regions(k: int, out_prefix: str | Path) -> list[Path]:
                      right if right is not None else math.inf,
                      float(w.tip_k)))
     for sp in strips:
-        rows.append(("strip", sp.M, sp.center_sigma - sp.half_width,
-                     sp.center_sigma + sp.half_width, sp.period))
+        rows.append(("strip", sp.M, *sp.sigma_range, sp.period))
     prefix = Path(out_prefix)
     csv_path = prefix.with_suffix(".csv")
     write_csv(csv_path, ("kind", "M", "sigma_lo", "sigma_hi", "extra"), rows)
 
     t_hi = 3.0 * max((sp.period for sp in strips), default=TWO_PI)
-    s_lo = min((sp.center_sigma - sp.half_width - 2 for sp in strips),
-               default=1.0)
-    s_hi = max((sp.center_sigma + sp.half_width + 2 for sp in strips),
-               default=float(k))
+    s_lo = min((sp.sigma_range[0] - 2 for sp in strips), default=1.0)
+    s_hi = max((sp.sigma_range[1] + 2 for sp in strips), default=float(k))
     canvas = SvgCanvas((s_lo, s_hi), (0.0, t_hi),
                        scale=max(1.0, t_hi / (s_hi - s_lo)))
     for sp in strips:
@@ -160,8 +157,7 @@ def _strip_figure(panels: Sequence[tuple[int, int, float]],
         canvas.rect(lo, 0.0, hi, T, fill="steelblue")
         canvas.line(center, 0.0, center, T, color="navy", dash="0.5,0.5")
         j = 0
-        while TWO_PI * j / sp.delta <= T:
-            t_line = TWO_PI * j / sp.delta
+        while (t_line := sp.line(j)) <= T:
             canvas.line(lo, t_line, hi, t_line, color="darkgreen", width=0.03)
             j += 1
         for r in records:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import LOG3, TWO_PI, q_value, wedge
+from .geometry import LOG3, q_value, strip, wedge
 from .series import head_ratio, log_term_mag, tail_bound, tail_ratio_upper
 from .zeros import Rect, series_evaluator, winding_number
 
@@ -162,12 +162,11 @@ def verify_head_bound() -> list[ConstantCheck]:
 
 def _line_zero_count(M: int, k: int) -> int:
     """Zeros of the k-th derivative in the box sigma_mid +- (1/2) log 3,
-    0.05 < t <= LINE_PERIODS periods 2*pi/delta of strip S_{M-1}, around the
-    mid-wedge line sigma_mid of wedge M."""
+    0.05 < t <= LINE_PERIODS periods of strip S_{M-1}, around the mid-wedge
+    line sigma_mid of wedge M."""
     w = wedge(M)
     sigma_mid = 0.5 * (w.sigma_left(k) + w.sigma_right(k))
-    delta = math.log(M) - math.log(M - 1)  # strip S_{M-1} spacing
-    t_hi = LINE_PERIODS * TWO_PI / delta
+    t_hi = LINE_PERIODS * strip(M - 1, k).period
     rect = Rect(sigma_mid - LINE_HALF_WIDTH, sigma_mid + LINE_HALF_WIDTH,
                 0.05, t_hi)
     return winding_number(rect, series_evaluator(k, M_ref=M)).count

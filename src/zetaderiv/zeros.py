@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import TWO_PI, CellRect, ComplexPoint, cell
+from .geometry import TWO_PI, CellRect, ComplexPoint, StripSpec, cell
 from .series import (_check_domain, _cutoff_from, _partial_sum, head_ratio,
                      log_term_mag, rounding_allowance, tail_ratio_upper)
 
@@ -225,9 +225,8 @@ def series_evaluator(k: int, M_ref: int) -> Evaluator:
 def cell_winding(M: int, k: int, j: int) -> WindingResult:
     """Winding number of the k-th derivative around cell(M, k, j)."""
     c = cell(M, k, j)
-    rect = Rect(c.sigma_range[0], c.sigma_range[1],
-                c.t_range[0], c.t_range[1])
-    return winding_number(rect, series_evaluator(k, M_ref=M))
+    return winding_number(Rect(*c.sigma_range, *c.t_range),
+                          series_evaluator(k, M_ref=M))
 
 
 # ---------------------------------------------------------------------------
@@ -320,51 +319,39 @@ def _sums(k: int, z: np.ndarray, N: int):
             _partial_sum(k + 1, z.real, z.imag, 2, N))
 
 
-def _newton(z: np.ndarray, k: int, M: int, N: int,
-            sigma_range: tuple[float, float], t_lo: np.ndarray,
-            t_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on g = zeta^(k)/Q_M(s) from each start point of z, each in its
-    own cell (sigma_range by (t_lo, t_hi)), all summed to the cutoff N.
-    g has the zeros of zeta^(k) without its fast phase M^(-it); with
-    s = -zeta^(k)/zeta^(k+1), its step -g/g' is s/(1 - s*log M).  Each
-    iteration is one _sums call over the points still active.  A point stops
-    once its step is at most NEWTON_TOL*max(1, |z|); it fails when it
-    escapes its cell twice (after the first escape it is clamped back
-    inside), when its step is not finite, or after NEWTON_MAX_ITERS steps.
-    Returns the final points and the iterations each took, 0 for a failed
-    start."""
-    z = z.copy()
+def _newton(sp: StripSpec, j: np.ndarray, N: int):
+    """Newton on g = zeta^(k)/Q_M(s) from the predicted zero of each cell j
+    of strip sp, all summed to the cutoff N.  g has the zeros of zeta^(k)
+    without its fast phase M^(-it); with s = -zeta^(k)/zeta^(k+1), its step
+    -g/g' is s/(1 - s*log M).  Each iteration is one _sums call over the
+    points still active.  A point stops once its step is at most
+    NEWTON_TOL*max(1, |z|); it fails as soon as a step leaves its cell (a
+    step that is not finite fails the same test), or after NEWTON_MAX_ITERS
+    steps.  Returns the final points and the iterations each took, 0 for a
+    failed start."""
+    z = sp.center_sigma + 1j * sp.ordinate(j)
     iters = np.zeros(z.size, dtype=int)
-    escapes = np.zeros(z.size, dtype=int)
     active = np.arange(z.size)
-    s_lo, s_hi = sigma_range
-    log_M = math.log(M)
+    s_lo, s_hi = sp.sigma_range
+    t_lo, t_hi = sp.line(j), sp.line(j + 1)
+    log_M = math.log(sp.M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, NEWTON_MAX_ITERS + 1):
             if not active.size:
                 break
             za = z[active]
-            (m_k, e_k), (m_k1, e_k1) = _sums(k, za, N)
+            (m_k, e_k), (m_k1, e_k1) = _sums(sp.k, za, N)
             # -zeta^(k)/zeta^(k+1): the two sums carry opposite signs
             s = m_k / m_k1 * np.exp(e_k - e_k1)
             step = s / (1.0 - s * log_M)
             za = za + step
-            lo, hi = t_lo[active], t_hi[active]
-            out = ~((s_lo < za.real) & (za.real < s_hi)
-                    & (lo < za.imag) & (za.imag < hi))
-            if out.any():
-                escapes[active] += out
-                za[out] = (np.minimum(np.maximum(za.real[out], s_lo + 1e-9),
-                                      s_hi - 1e-9)
-                           + 1j * np.minimum(np.maximum(za.imag[out],
-                                                        lo[out] + 1e-9),
-                                             hi[out] - 1e-9))
             z[active] = za
-            alive = np.isfinite(step) & (escapes[active] < 2)
-            done = alive & (np.abs(step)
-                            <= NEWTON_TOL * np.maximum(1.0, np.abs(za)))
+            inside = ((s_lo < za.real) & (za.real < s_hi)
+                      & (t_lo[active] < za.imag) & (za.imag < t_hi[active]))
+            done = inside & (np.abs(step)
+                             <= NEWTON_TOL * np.maximum(1.0, np.abs(za)))
             iters[active[done]] = it
-            active = active[alive & ~done]
+            active = active[inside & ~done]
     return z, iters
 
 
@@ -372,14 +359,11 @@ def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
     """Records for the cells js (ascending) of strip S_M: one array Newton
     from their predicted zeros, all summed to the strip's one cutoff.
     Raises LocateError for the first cell where Newton fails."""
-    c0 = cell(M, k, js[0] if js else 0)
-    sp = c0.strip
-    N = _strip_cutoff(k, c0.sigma_range[0])
+    sp = cell(M, k, js[0] if js else 0).strip  # rejects j < 0, no strip
+    N = _strip_cutoff(k, sp.sigma_range[0])
     j = np.array(js, dtype=int)
-    t_lo, t_hi = TWO_PI * j / sp.delta, TWO_PI * (j + 1) / sp.delta
-    t_pred = (2 * j + 1) * math.pi / sp.delta
-    z, iters = _newton(sp.center_sigma + 1j * t_pred, k, M, N,
-                       c0.sigma_range, t_lo, t_hi)
+    z, iters = _newton(sp, j, N)
+    t_pred = sp.ordinate(j)
     failed = np.flatnonzero(iters == 0)
     if failed.size:
         i = int(failed[0])
@@ -396,7 +380,7 @@ def _locate(M: int, k: int, js: list[int]) -> list[ZeroRecord]:
 
 def locate_zero(M: int, k: int, j: int) -> ZeroRecord:
     """The zero in cell(M, k, j): Newton from the predicted zero, raising
-    LocateError if it escapes the cell twice or does not converge.
+    LocateError if a step leaves the cell or Newton does not converge.
     enumerate_zeros' path for one cell, so its sums run to the strip's one
     cutoff and the record equals enumerate_zeros' record j."""
     return _locate(M, k, [j])[0]
@@ -406,20 +390,13 @@ def enumerate_zeros(M: int, k: int, T: float) -> tuple[list[ZeroRecord], int]:
     """All strip-S_M zeros of the k-th derivative with 0 < t <= T, plus the
     count N at height T.
 
-    The cells below T are located by one array Newton, started from all
-    their predicted zeros at once; each iteration is one sum per order k and
-    k+1 over the cells still active.  Every sum runs to one cutoff for the
-    strip, taken at its left edge: the tail test there holds at every sigma
-    of the strip (_strip_cutoff).  Raises LocateError for the first cell
-    where Newton fails."""
-    if not 0.0 < T < math.inf:  # nan too
-        raise ValueError(f"enumerate_zeros needs 0 < T < inf, got T = {T}")
-    delta = cell(M, k, 0).strip.delta
-    # the cells whose lower line (cell's formula) is below T; the ceiling
-    # alone can round up past a T on a line
-    j_max = math.ceil(T * delta / TWO_PI)
-    if TWO_PI * (j_max - 1) / delta >= T:
-        j_max -= 1
-    located = _locate(M, k, list(range(j_max)))
+    The cells below T (StripSpec.cells_below) are located by one array
+    Newton, started from all their predicted zeros at once; each iteration
+    is one sum per order k and k+1 over the cells still active.  Every sum
+    runs to one cutoff for the strip, taken at its left edge: the tail test
+    there holds at every sigma of the strip (_strip_cutoff).  Raises
+    LocateError for the first cell where Newton fails."""
+    sp = cell(M, k, 0).strip  # rejects a missing strip before any T
+    located = _locate(M, k, list(range(sp.cells_below(T))))
     records = [rec for rec in located if rec.location.t <= T]
     return records, len(records)

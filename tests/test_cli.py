@@ -190,6 +190,9 @@ def test_exit_code_follows_the_results(results, code, capsys, monkeypatch):
     ["eval", "--sigma", "2", "--t", "inf", "--k", "1"],
     ["eval", "--sigma", "nan", "--t", "1", "--k", "1"],
     ["berndt", "--k", "1", "--T", "nan"],
+    # heights where adjacent floats are a period apart
+    ["zeros", "--M", "2", "--k", "38", "--T", "1e300"],
+    ["zeros", "--M", "2", "--k", "38", "--count-at", "1000000000000000000"],
 ])
 def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     if argv[0] == "plot":
@@ -209,6 +212,9 @@ def test_out_of_range_input_is_one_stderr_line(argv, capsys, tmp_path):
     (["eval", "--sigma", "2", "--t", "inf", "--k", "1"], "t = inf"),
     (["eval", "--sigma", "nan", "--t", "1", "--k", "1"], "sigma = nan"),
     (["berndt", "--k", "1", "--T", "nan"], "got nan"),
+    (["zeros", "--M", "2", "--k", "38", "--T", "1e300"], "T = 1e+300"),
+    (["zeros", "--M", "2", "--k", "38", "--count-at", "1000000000000000000"],
+     "T = 1.5496241677849733e+19"),
 ])
 def test_non_finite_input_is_named(argv, named, capsys):
     assert cli.main(argv) == 2

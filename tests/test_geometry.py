@@ -1,5 +1,8 @@
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +134,42 @@ def test_cell_geometry():
     assert c.predicted_zero.t == pytest.approx(3 * math.pi / sp.delta)
     assert c.contains(sp.center_sigma, 1.5 * sp.period)
     assert not c.contains(sp.center_sigma, 0.5 * sp.period)
+
+
+def test_strip_lattice_is_the_cell_formulas_bit_for_bit():
+    # StripSpec's lattice is exactly the cell formulas, for an int and for
+    # an int array, on every strip of the benchmark's cell survey, and
+    # cells_below counts the lines below each line
+    cells = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+             / "cells.json")
+    js = np.arange(61)
+    for s in json.loads(cells.read_text())["strips"]:
+        sp = strip(s["M"], s["k"])
+        assert sp.sigma_range == (sp.center_sigma - sp.half_width,
+                                  sp.center_sigma + sp.half_width)
+        lines = 2.0 * math.pi * js / sp.delta
+        ordinates = (2 * js + 1) * math.pi / sp.delta
+        assert np.array_equal(sp.line(js), lines)
+        assert np.array_equal(sp.ordinate(js), ordinates)
+        for j in range(61):
+            assert sp.line(j) == 2.0 * math.pi * j / sp.delta
+            assert sp.ordinate(j) == (2 * j + 1) * math.pi / sp.delta
+        assert [sp.cells_below(sp.line(J)) for J in range(1, 61)] == list(
+            range(1, 61)), (sp.M, sp.k)
+
+
+def test_cells_below_rejects_a_height_a_period_wide():
+    sp = strip(2, 38)
+    # the largest T whose float spacing is below the period
+    T = math.nextafter(2.0 ** (math.floor(math.log2(sp.period)) + 53), 0.0)
+    assert math.ulp(T) < sp.period <= math.ulp(math.nextafter(T, math.inf))
+    n = sp.cells_below(T)
+    assert type(n) is int and abs(n - T / sp.period) <= 1
+    assert sp.line(n - 1) < T
+    for bad in (math.nextafter(T, math.inf), 1e300, math.inf, math.nan, 0.0,
+                -1.0):
+        with pytest.raises(ValueError, match="T = "):
+            sp.cells_below(bad)
 
 
 def test_cell_requires_existing_strip():

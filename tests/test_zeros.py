@@ -557,6 +557,40 @@ def test_degenerate_step_raises_locate_error_for_its_cell(monkeypatch, where):
         assert locate_zero(M, k, j) == clean[j]
 
 
+@pytest.mark.parametrize("d_sigma,d_periods",
+                         [(-4.0, 0.0), (4.0, 0.0), (0.0, 1.0), (0.0, -0.6)])
+def test_a_step_that_leaves_its_cell_fails(monkeypatch, d_sigma, d_periods):
+    # only the first step from the predicted zero of cell 3 is moved, out of
+    # the cell (2*3*log 3 wide, one period high): Newton fails that cell at
+    # once, even where it would converge from the cell's edge, and the other
+    # cells of the same run keep their clean records
+    M, k, bad = 2, 38, 3
+    T = _count_at(M, k, 8)
+    clean, _ = enumerate_zeros(M, k, T)
+    sp = strip(M, k)
+    z0 = cell(M, k, bad).predicted_zero.to_complex()
+    d = complex(d_sigma, d_periods * sp.period)
+    s_moved = d / (1.0 + d * math.log(M))  # the s whose step is d
+    sums = zeros._sums
+
+    def moved(order, z, N):
+        (m_k, e_k), (m_k1, e_k1) = sums(order, z, N)
+        hit = z == z0
+        return ((np.where(hit, s_moved, m_k), np.where(hit, 0.0, e_k)),
+                (np.where(hit, 1.0, m_k1), np.where(hit, 0.0, e_k1)))
+
+    monkeypatch.setattr(zeros, "_sums", moved)
+    with pytest.raises(zeros.LocateError, match=f"j={bad}\\)"):
+        enumerate_zeros(M, k, T)
+    z, iters = zeros._newton(sp, np.arange(8),
+                             zeros._strip_cutoff(k, sp.sigma_range[0]))
+    others = [j for j in range(8) if j != bad]
+    assert iters[bad] == 0
+    assert [complex(z[j]) for j in others] == [
+        clean[j].location.to_complex() for j in others]
+    assert iters[others].tolist() == [clean[j].newton_iters for j in others]
+
+
 def test_every_fault_cell_of_the_survey_is_located():
     # the cells of perfbench/data/cells.json where an absolute Newton stop
     # failed, or succeeded only through a quadrisection fallback: Newton on
